@@ -56,52 +56,62 @@ std::string swift::difftest::writeReproducer(const std::string &OutDir,
   return Path;
 }
 
-OracleResult swift::difftest::replayFile(const std::string &Path,
-                                         const OracleOptions &Opts) {
+std::unique_ptr<Program>
+swift::difftest::readProgramFile(const std::string &Path) {
   std::ifstream IS(Path);
   if (!IS)
     throw std::runtime_error("cannot open '" + Path + "'");
   std::ostringstream Buf;
   Buf << IS.rdbuf();
-  std::unique_ptr<Program> Prog = parseProgramText(Buf.str());
-  return runOracle(*Prog, Opts);
+  return parseProgramText(Buf.str());
 }
 
-CampaignResult swift::difftest::runCampaign(const CampaignOptions &Opts,
+OracleResult swift::difftest::replayFile(const std::string &Path,
+                                         const OracleOptions &Opts) {
+  return runOracle(*readProgramFile(Path), Opts);
+}
+
+CampaignResult swift::difftest::runSeedLoop(const SeedLoop &L,
                                             std::ostream &Log) {
   CampaignResult Res;
   Timer Wall;
 
-  for (uint64_t Seed = Opts.FirstSeed;
-       Seed != Opts.FirstSeed + Opts.NumSeeds; ++Seed) {
-    if (Wall.seconds() > Opts.BudgetSeconds) {
+  for (uint64_t Seed = L.FirstSeed; Seed != L.FirstSeed + L.NumSeeds;
+       ++Seed) {
+    if (Wall.seconds() > L.BudgetSeconds) {
       Res.StoppedOnBudget = true;
       break;
     }
     std::unique_ptr<Program> Prog =
         generateFuzzProgram(fuzzConfigForSeed(Seed));
-    OracleOptions OO = Opts.Oracle;
-    OO.InterpSeed = Seed * 1013 + 1; // decorrelate from the fuzz seed
-    OracleResult OR = runOracle(*Prog, OO);
+    uint64_t InterpSeed = Seed * 1013 + 1; // decorrelate from the fuzz seed
+    SeedVerdict V = L.Check(*Prog, InterpSeed);
     ++Res.SeedsRun;
-    if (OR.ReferenceTimedOut)
+    if (V.ReferenceTimedOut)
       ++Res.ExhaustedSeeds;
-    if (OR.clean())
+    if (V.Violations.empty())
       continue;
 
     SeedReport Rep;
     Rep.Seed = Seed;
-    Rep.First = OR.Violations.front();
-    Rep.NumViolations = OR.Violations.size();
-    Log << "seed " << Seed << ": " << OR.Violations.size()
+    Rep.First = V.Violations.front();
+    Rep.NumViolations = V.Violations.size();
+    Log << "seed " << Seed << ": " << V.Violations.size()
         << " violation(s); first: [" << checkKindName(Rep.First.Kind)
         << "] " << Rep.First.Config << ": " << Rep.First.Detail << "\n";
 
     std::string Text;
-    if (Opts.ReduceViolations) {
-      ReduceOptions RO = Opts.Reduce;
-      RO.Oracle = OO;
-      ReduceResult RR = reduceViolation(*Prog, Rep.First.Kind, RO);
+    if (L.ReduceViolations) {
+      CheckKind Kind = Rep.First.Kind;
+      ReduceResult RR = reducePredicate(
+          *Prog,
+          [&](const Program &Cand) {
+            for (const Violation &C : L.Check(Cand, InterpSeed).Violations)
+              if (C.Kind == Kind)
+                return true;
+            return false;
+          },
+          L.ReduceMaxRounds, L.ReduceMaxRuns);
       Text = std::move(RR.Text);
       Rep.ReducedProcs = RR.NumProcs;
       Rep.ReducedStmts = RR.NumStmts;
@@ -112,14 +122,33 @@ CampaignResult swift::difftest::runCampaign(const CampaignOptions &Opts,
       Rep.ReducedProcs = Prog->numProcs();
     }
 
-    if (!Opts.OutDir.empty()) {
-      Rep.ReproPath = writeReproducer(Opts.OutDir, Seed, Rep.First, Text);
+    if (!L.OutDir.empty()) {
+      Rep.ReproPath = writeReproducer(L.OutDir, Seed, Rep.First, Text);
       if (!Rep.ReproPath.empty())
         Log << "  reproducer: " << Rep.ReproPath << "\n";
       else
-        Log << "  failed to write reproducer under " << Opts.OutDir << "\n";
+        Log << "  failed to write reproducer under " << L.OutDir << "\n";
     }
     Res.BadSeeds.push_back(std::move(Rep));
   }
   return Res;
+}
+
+CampaignResult swift::difftest::runCampaign(const CampaignOptions &Opts,
+                                            std::ostream &Log) {
+  SeedLoop L{.FirstSeed = Opts.FirstSeed,
+             .NumSeeds = Opts.NumSeeds,
+             .BudgetSeconds = Opts.BudgetSeconds,
+             .ReduceViolations = Opts.ReduceViolations,
+             .ReduceMaxRounds = Opts.Reduce.MaxRounds,
+             .ReduceMaxRuns = Opts.Reduce.MaxOracleRuns,
+             .OutDir = Opts.OutDir,
+             .Check = [&Opts](const Program &Prog, uint64_t InterpSeed) {
+               OracleOptions OO = Opts.Oracle;
+               OO.InterpSeed = InterpSeed;
+               OracleResult R = runOracle(Prog, OO);
+               return SeedVerdict{std::move(R.Violations),
+                                  R.ReferenceTimedOut};
+             }};
+  return runSeedLoop(L, Log);
 }

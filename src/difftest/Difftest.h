@@ -21,6 +21,8 @@
 #include "difftest/Reducer.h"
 #include "genprog/Fuzzer.h"
 
+#include <functional>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -69,6 +71,34 @@ FuzzConfig fuzzConfigForSeed(uint64_t Seed);
 
 /// Runs the campaign, logging one line per violating seed to \p Log.
 CampaignResult runCampaign(const CampaignOptions &Opts, std::ostream &Log);
+
+/// One oracle's verdict on one program, as the campaign loop sees it.
+struct SeedVerdict {
+  std::vector<Violation> Violations;
+  bool ReferenceTimedOut = false;
+};
+
+/// The seed loop shared by every campaign (runCampaign and the per-domain
+/// runDomainCampaign); only the oracle differs. Per seed it generates the
+/// fuzz program, calls \p Check with an interpreter seed decorrelated from
+/// the fuzz seed, and on a violation logs it, reduces the program while
+/// \p Check still reports a violation of the first one's kind, and writes
+/// the reproducer under \p OutDir (empty disables writing).
+struct SeedLoop {
+  uint64_t FirstSeed = 1;
+  uint64_t NumSeeds = 0;
+  double BudgetSeconds = 1e18;
+  bool ReduceViolations = true;
+  size_t ReduceMaxRounds = 4;
+  size_t ReduceMaxRuns = 400;
+  std::string OutDir;
+  std::function<SeedVerdict(const Program &, uint64_t InterpSeed)> Check;
+};
+CampaignResult runSeedLoop(const SeedLoop &L, std::ostream &Log);
+
+/// Reads and parses a swift-ir file (a reproducer or any program). Throws
+/// std::runtime_error on unreadable/malformed input.
+std::unique_ptr<Program> readProgramFile(const std::string &Path);
 
 /// Writes a self-contained reproducer (violation header as comments +
 /// swift-ir text) and returns its path; empty string on I/O failure.

@@ -7,10 +7,7 @@
 #include "difftest/DomainOracle.h"
 
 #include "clients/Concrete.h"
-#include "ir/Dumper.h"
-#include "support/Timer.h"
 
-#include <fstream>
 #include <optional>
 #include <sstream>
 
@@ -223,78 +220,26 @@ swift::difftest::runDomainOracle(const std::string &Domain,
 CampaignResult
 swift::difftest::runDomainCampaign(const DomainCampaignOptions &Opts,
                                    std::ostream &Log) {
-  CampaignResult Res;
-  Timer Wall;
-
-  for (uint64_t Seed = Opts.FirstSeed;
-       Seed != Opts.FirstSeed + Opts.NumSeeds; ++Seed) {
-    if (Wall.seconds() > Opts.BudgetSeconds) {
-      Res.StoppedOnBudget = true;
-      break;
-    }
-    std::unique_ptr<Program> Prog =
-        generateFuzzProgram(fuzzConfigForSeed(Seed));
-    DomainOracleOptions OO = Opts.Oracle;
-    OO.InterpSeed = Seed * 1013 + 1; // decorrelate from the fuzz seed
-    DomainOracleResult OR = runDomainOracle(Opts.Domain, *Prog, OO);
-    ++Res.SeedsRun;
-    if (OR.ReferenceTimedOut)
-      ++Res.ExhaustedSeeds;
-    if (OR.clean())
-      continue;
-
-    SeedReport Rep;
-    Rep.Seed = Seed;
-    Rep.First = OR.Violations.front();
-    Rep.NumViolations = OR.Violations.size();
-    Log << "seed " << Seed << ": " << OR.Violations.size()
-        << " violation(s); first: [" << checkKindName(Rep.First.Kind)
-        << "] " << Rep.First.Config << ": " << Rep.First.Detail << "\n";
-
-    std::string Text;
-    if (Opts.ReduceViolations) {
-      CheckKind Kind = Rep.First.Kind;
-      ReduceResult RR = reducePredicate(
-          *Prog,
-          [&](const Program &Cand) {
-            DomainOracleResult C = runDomainOracle(Opts.Domain, Cand, OO);
-            for (const Violation &V : C.Violations)
-              if (V.Kind == Kind)
-                return true;
-            return false;
-          },
-          Opts.ReduceMaxRounds, Opts.ReduceMaxRuns);
-      Text = std::move(RR.Text);
-      Rep.ReducedProcs = RR.NumProcs;
-      Rep.ReducedStmts = RR.NumStmts;
-      Log << "  reduced to " << RR.NumProcs << " proc(s), " << RR.NumStmts
-          << " stmt(s) in " << RR.OracleRuns << " oracle runs\n";
-    } else {
-      Text = programToText(*Prog);
-      Rep.ReducedProcs = Prog->numProcs();
-    }
-
-    if (!Opts.OutDir.empty()) {
-      Rep.ReproPath = writeReproducer(Opts.OutDir, Seed, Rep.First, Text);
-      if (!Rep.ReproPath.empty())
-        Log << "  reproducer: " << Rep.ReproPath << "\n";
-      else
-        Log << "  failed to write reproducer under " << Opts.OutDir << "\n";
-    }
-    Res.BadSeeds.push_back(std::move(Rep));
-  }
-  return Res;
+  SeedLoop L{.FirstSeed = Opts.FirstSeed,
+             .NumSeeds = Opts.NumSeeds,
+             .BudgetSeconds = Opts.BudgetSeconds,
+             .ReduceViolations = Opts.ReduceViolations,
+             .ReduceMaxRounds = Opts.ReduceMaxRounds,
+             .ReduceMaxRuns = Opts.ReduceMaxRuns,
+             .OutDir = Opts.OutDir,
+             .Check = [&Opts](const Program &Prog, uint64_t InterpSeed) {
+               DomainOracleOptions OO = Opts.Oracle;
+               OO.InterpSeed = InterpSeed;
+               DomainOracleResult R = runDomainOracle(Opts.Domain, Prog, OO);
+               return SeedVerdict{std::move(R.Violations),
+                                  R.ReferenceTimedOut};
+             }};
+  return runSeedLoop(L, Log);
 }
 
 DomainOracleResult
 swift::difftest::replayDomainFile(const std::string &Path,
                                   const std::string &Domain,
                                   const DomainOracleOptions &Opts) {
-  std::ifstream IS(Path);
-  if (!IS)
-    throw std::runtime_error("cannot open '" + Path + "'");
-  std::ostringstream Buf;
-  Buf << IS.rdbuf();
-  std::unique_ptr<Program> Prog = parseProgramText(Buf.str());
-  return runDomainOracle(Domain, *Prog, Opts);
+  return runDomainOracle(Domain, *readProgramFile(Path), Opts);
 }

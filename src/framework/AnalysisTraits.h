@@ -10,7 +10,7 @@
 /// B satisfying conditions C1-C3 of the paper). An analysis plugs in by
 /// providing a traits class with the following members; see
 /// typestate/TsAnalysis.h for the flagship instantiation and
-/// killgen/KgAnalysis.h for a second, IFDS-style one.
+/// clients/ifds/IfdsAnalysis.h for the IFDS-style kill/gen one.
 ///
 /// \code
 ///   struct MyAnalysis {

@@ -13,7 +13,6 @@
 #include "support/Hashing.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
@@ -483,30 +482,6 @@ constexpr size_t TrailerSize = TrailerTag.size() + 8 + 1;
 [[noreturn]] void loadFail(LoadErrorKind K, const std::string &Msg) {
   throw CheckpointLoadError(K, "swift-ckpt: " + Msg + " [" +
                                    loadErrorKindName(K) + "]");
-}
-
-std::string hex8(uint32_t V) {
-  char Buf[9];
-  std::snprintf(Buf, sizeof(Buf), "%08x", V);
-  return Buf;
-}
-
-bool parseHex8(std::string_view T, uint32_t &Out) {
-  if (T.size() != 8)
-    return false;
-  uint32_t V = 0;
-  for (char C : T) {
-    uint32_t D;
-    if (C >= '0' && C <= '9')
-      D = static_cast<uint32_t>(C - '0');
-    else if (C >= 'a' && C <= 'f')
-      D = static_cast<uint32_t>(C - 'a') + 10;
-    else
-      return false;
-    V = (V << 4) | D;
-  }
-  Out = V;
-  return true;
 }
 
 } // namespace

@@ -20,7 +20,6 @@
 #include "support/Hashing.h"
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 
 #include <fcntl.h>
@@ -39,32 +38,8 @@ constexpr size_t AppendChunk = 256;
 
 constexpr std::string_view TrailerTag = "crc32 ";
 
-std::string hex8(uint32_t V) {
-  char Buf[9];
-  std::snprintf(Buf, sizeof(Buf), "%08x", V);
-  return Buf;
-}
-
 std::string opError(const char *Op, const std::string &Path, int Err) {
   return std::string(Op) + " '" + Path + "': " + std::strerror(Err);
-}
-
-bool parseHex8(std::string_view T, uint32_t &Out) {
-  if (T.size() != 8)
-    return false;
-  uint32_t V = 0;
-  for (char C : T) {
-    uint32_t D;
-    if (C >= '0' && C <= '9')
-      D = static_cast<uint32_t>(C - '0');
-    else if (C >= 'a' && C <= 'f')
-      D = static_cast<uint32_t>(C - 'a') + 10;
-    else
-      return false;
-    V = (V << 4) | D;
-  }
-  Out = V;
-  return true;
 }
 
 /// Parses "edit <namelen> <bodylen>" (no trailing newline). Returns

@@ -440,12 +440,6 @@ constexpr size_t TrailerSize = TrailerTag.size() + 8 + 1;
 constexpr std::string_view ProgramBegin = "program-begin";
 constexpr std::string_view ProgramEnd = "program-end";
 
-std::string hex8(uint32_t V) {
-  char Buf[9];
-  std::snprintf(Buf, sizeof(Buf), "%08x", V);
-  return Buf;
-}
-
 std::string hex16(uint64_t V) {
   char Buf[17];
   std::snprintf(Buf, sizeof(Buf), "%016llx",
@@ -601,14 +595,13 @@ ParsedStore serve::decodeStore(std::string_view Bytes) {
     fail("trailing data after CRC trailer");
   if (Rest.substr(0, TrailerTag.size()) != TrailerTag || Rest.back() != '\n')
     fail("malformed CRC trailer");
-  uint64_t Stored = 0;
-  if (!parseHexU(Rest.substr(TrailerTag.size(), 8), Stored) ||
-      Rest.substr(TrailerTag.size(), 8).size() != 8)
+  uint32_t Stored = 0;
+  if (!parseHex8(Rest.substr(TrailerTag.size(), 8), Stored))
     fail("malformed CRC value");
   uint32_t Computed = crc32(Payload.data(), Payload.size());
-  if (Computed != static_cast<uint32_t>(Stored))
-    fail("CRC mismatch: stored " + hex8(static_cast<uint32_t>(Stored)) +
-         ", computed " + hex8(Computed));
+  if (Computed != Stored)
+    fail("CRC mismatch: stored " + hex8(Stored) + ", computed " +
+         hex8(Computed));
 
   LineReader R(Payload);
   std::vector<std::string_view> F = fields(R.line());

@@ -21,9 +21,9 @@ namespace {
 
 constexpr std::string_view Magic = "swift-spool v1 ";
 
-std::string hex(uint64_t V, int Digits) {
-  char Buf[24];
-  std::snprintf(Buf, sizeof(Buf), "%0*" PRIx64, Digits, V);
+std::string hex16(uint64_t V) {
+  char Buf[17];
+  std::snprintf(Buf, sizeof(Buf), "%016" PRIx64, V);
   return Buf;
 }
 
@@ -132,7 +132,7 @@ std::string shard::segmentPath(const std::string &Dir, uint64_t Scc) {
 
 std::string shard::encodeSegment(const Segment &S) {
   std::string P;
-  P += "prog " + hex(S.ProgHash, 16) + "\n";
+  P += "prog " + hex16(S.ProgHash) + "\n";
   P += "scc " + std::to_string(S.Scc) + "\n";
   P += "procs " + std::to_string(S.Procs.size()) + "\n";
   for (const SegmentProc &Pr : S.Procs) {
@@ -145,7 +145,7 @@ std::string shard::encodeSegment(const Segment &S) {
   Out += std::to_string(P.size());
   Out += '\n';
   Out += P;
-  Out += "crc32 " + hex(crc32(P.data(), P.size()), 8) + "\n";
+  Out += "crc32 " + hex8(crc32(P.data(), P.size())) + "\n";
   return Out;
 }
 
@@ -161,7 +161,9 @@ Segment shard::decodeSegment(std::string_view Bytes) {
     bad("spool segment: missing crc trailer");
   if (!Frame.atEnd())
     bad("spool segment: trailing bytes after crc");
-  uint32_t Want = static_cast<uint32_t>(parseHex(Trailer[1], "crc"));
+  uint32_t Want = 0;
+  if (!parseHex8(Trailer[1], Want))
+    bad("spool segment: malformed crc");
   if (crc32(Payload.data(), Payload.size()) != Want)
     bad("spool segment: crc mismatch");
 

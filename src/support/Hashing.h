@@ -20,6 +20,9 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <string>
+#include <string_view>
 
 namespace swift {
 
@@ -62,6 +65,34 @@ inline uint32_t crc32(const void *Data, size_t Size, uint32_t Seed = 0) {
   for (size_t I = 0; I != Size; ++I)
     C = Table[(C ^ P[I]) & 0xff] ^ (C >> 8);
   return ~C;
+}
+
+/// A CRC-32 as written in the `crc32 <hex8>` trailer every CRC-framed
+/// file format ends its records with: exactly 8 lowercase hex digits.
+inline std::string hex8(uint32_t V) {
+  char Buf[9];
+  std::snprintf(Buf, sizeof(Buf), "%08x", V);
+  return Buf;
+}
+
+/// The strict inverse of hex8: accepts exactly 8 lowercase hex digits,
+/// so a padded, cut, or upper-cased trailer value is malformed.
+inline bool parseHex8(std::string_view T, uint32_t &Out) {
+  if (T.size() != 8)
+    return false;
+  uint32_t V = 0;
+  for (char C : T) {
+    uint32_t D;
+    if (C >= '0' && C <= '9')
+      D = static_cast<uint32_t>(C - '0');
+    else if (C >= 'a' && C <= 'f')
+      D = static_cast<uint32_t>(C - 'a') + 10;
+    else
+      return false;
+    V = (V << 4) | D;
+  }
+  Out = V;
+  return true;
 }
 
 } // namespace swift

@@ -8,23 +8,28 @@
 /// Unit tests for the client-domain layer: the interval transformer
 /// algebra (the C2 exactness the relational summaries rely on), the
 /// per-client abstract semantics on handcrafted programs, the
-/// taint-adapter-vs-killgen differential (the IFDS adapter subsumes the
-/// built-in kill/gen instantiation), and the in-process sharded-BU
-/// wavefront smoke (worker count never changes any result).
+/// `IfdsProblem` contract the synthesized bottom-up side relies on
+/// (checked fact by fact for every IFDS client), and the in-process
+/// sharded-BU wavefront smoke (worker count never changes any result).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "clients/Registry.h"
+#include "clients/ifds/IfdsAnalysis.h"
+#include "clients/ifds/NullDerefProblem.h"
+#include "clients/ifds/ReachingDefsProblem.h"
+#include "clients/ifds/TaintProblem.h"
 #include "clients/interval/IntervalDomain.h"
 #include "difftest/Difftest.h"
 #include "genprog/Fuzzer.h"
 #include "ir/Dumper.h"
-#include "killgen/KgAnalysis.h"
-#include "killgen/KgRunner.h"
+#include "lang/Lower.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -174,6 +179,76 @@ TEST(ClientSemantics, TaintFlowsThroughHeap) {
   EXPECT_EQ(R.Reports, Want);
 }
 
+/// Runs the taint client on a source-language program under the File/open
+/// convention in all three modes and returns the procedure of every leak
+/// site, in site order.
+std::vector<std::string> taintLeakProcs(const char *Source) {
+  std::unique_ptr<Program> P = parseProgram(Source);
+  DomainRunResult R = runAllModes("taint", *P);
+  std::vector<std::string> Got;
+  for (const auto &[Proc, Node] : R.Reports) {
+    (void)Node;
+    Got.push_back(P->symbols().text(P->proc(Proc).name()));
+  }
+  return Got;
+}
+
+// The taint client is the kill/gen instantiation of Section 5.2; these
+// are its source-language cases.
+TEST(KillGenTest, DirectLeak) {
+  EXPECT_EQ(taintLeakProcs(R"(
+    typestate File { start s; error e; s -open-> s; }
+    proc main() {
+      v = new File;
+      v.open();
+    }
+  )"),
+            std::vector<std::string>{"main"});
+}
+
+TEST(KillGenTest, LeakThroughCopyAndCall) {
+  // The leak is attributed to the callee whose sink call it is; close is
+  // not a sink.
+  EXPECT_EQ(taintLeakProcs(R"(
+    typestate File { start s; error e; s -open-> s; s -close-> s; }
+    proc main() {
+      v = new File;
+      w = v;
+      use(w);
+      u = new File;
+      u.close();
+    }
+    proc use(f) { f.open(); }
+  )"),
+            std::vector<std::string>{"use"});
+}
+
+TEST(KillGenTest, KillByOverwrite) {
+  // Rebinding v to a non-source value kills its taint.
+  EXPECT_TRUE(taintLeakProcs(R"(
+    typestate File { start s; error e; s -open-> s; }
+    typestate Clean { start c; error ec; c -open-> c; }
+    proc main() {
+      v = new File;
+      v = new Clean;
+      v.open();
+    }
+  )")
+                  .empty());
+}
+
+TEST(KillGenTest, ReturnValuePropagatesTaint) {
+  EXPECT_EQ(taintLeakProcs(R"(
+    typestate File { start s; error e; s -open-> s; }
+    proc make() { t = new File; return t; }
+    proc main() {
+      x = make();
+      x.open();
+    }
+  )"),
+            std::vector<std::string>{"main"});
+}
+
 TEST(ClientSemantics, NullDerefThroughFieldAndDirect) {
   auto P = parse("proc main() entry 0 exit 1 nodes 8 {\n"
                  "  0: nop -> 2\n"
@@ -255,30 +330,100 @@ TEST(ClientSemantics, IntervalCalleeStoreRoutesThroughCall) {
 }
 
 //===----------------------------------------------------------------------===//
-// Adapter-vs-killgen differential
+// IfdsProblem contract
 //===----------------------------------------------------------------------===//
 
-TEST(ClientDifferential, TaintAdapterMatchesKillgen) {
-  // The IFDS-shaped taint client subsumes the built-in kill/gen
-  // instantiation: identical leak sites on fuzzed workloads, in every
-  // mode. (Fuzz programs use exactly the File/open convention both share.)
-  for (uint64_t Seed = 1; Seed <= 20; ++Seed) {
+/// Checks, for every non-Lambda fact of \p Pb at every reachable command
+/// of its program, the contract the synthesized bottom-up side relies on
+/// (IfdsProblem.h): facts outside `affected` / `callFootprint` pass
+/// through unchanged, report facts are absorbing, and rtrans of the
+/// identity relation equals the fact-level transfer (C1 with r = id).
+void checkIfdsContract(const ifds::IfdsProblem &Pb) {
+  using ifds::FactId;
+  const Program &Prog = Pb.program();
+  ifds::IfdsContext Ctx(Prog, Pb);
+  auto Has = [](const std::vector<FactId> &V, FactId F) {
+    return std::find(V.begin(), V.end(), F) != V.end();
+  };
+  std::vector<FactId> Footprint, Out, Entered, Local, Combined;
+  for (ProcId P = 0; P != Prog.numProcs(); ++P) {
+    const Procedure &Proc = Prog.proc(P);
+    for (NodeId N : Proc.reachableRpo()) {
+      const Command &Cmd = Proc.node(N).Cmd;
+      Footprint.clear();
+      if (Cmd.Kind == CmdKind::Call) {
+        clients::Binding B(Prog, Cmd);
+        Pb.callFootprint(B, Footprint);
+        for (FactId F = 1; F != Pb.numFacts(); ++F) {
+          Entered.clear();
+          Local.clear();
+          Combined.clear();
+          Pb.enter(B, F, Entered);
+          Pb.callLocal(B, F, Local);
+          Pb.combineExit(B, F, Combined);
+          if (!Has(Footprint, F)) {
+            EXPECT_TRUE(Entered.empty())
+                << Cmd.str(Prog) << " enters " << Pb.factText(F);
+            EXPECT_EQ(Local, std::vector<FactId>{F})
+                << Cmd.str(Prog) << " callLocal " << Pb.factText(F);
+          }
+          if (Pb.isReport(F)) {
+            EXPECT_EQ(Local, std::vector<FactId>{F})
+                << Cmd.str(Prog) << " callLocal " << Pb.factText(F);
+            EXPECT_EQ(Combined, std::vector<FactId>{F})
+                << Cmd.str(Prog) << " combineExit " << Pb.factText(F);
+          }
+        }
+        continue;
+      }
+      Pb.affected(Cmd, Footprint);
+      std::vector<ifds::IfdsRel> Id = ifds::IfdsAnalysis::rtrans(
+          Ctx, P, Cmd, ifds::IfdsRel::identity());
+      for (FactId F = 1; F != Pb.numFacts(); ++F) {
+        Out.clear();
+        Pb.transfer(P, Cmd, F, Out);
+        if (!Has(Footprint, F) || Pb.isReport(F)) {
+          EXPECT_EQ(Out, std::vector<FactId>{F})
+              << Cmd.str(Prog) << " transfer " << Pb.factText(F);
+        }
+        std::set<FactId> Lhs, Rhs(Out.begin(), Out.end());
+        for (const ifds::IfdsRel &R : Id)
+          if (std::optional<ifds::IfdsFact> O = ifds::IfdsAnalysis::applyRel(
+                  Ctx, R, ifds::IfdsFact::of(F)))
+            Lhs.insert(O->Id);
+        EXPECT_EQ(Lhs, Rhs) << Cmd.str(Prog) << " rtrans(id) "
+                            << Pb.factText(F);
+      }
+    }
+  }
+}
+
+template <typename MakeProblem> void checkContractOnSeeds(MakeProblem Make) {
+  for (uint64_t Seed = 1; Seed <= 60; ++Seed) {
     auto Prog = generateFuzzProgram(difftest::fuzzConfigForSeed(Seed));
     ASSERT_NE(Prog, nullptr);
-    KgContext Ctx(*Prog, {Prog->symbols().intern("File")},
-                  {Prog->symbols().intern("open")});
-    KgRunResult Kg = runTaintTd(Ctx);
-    ASSERT_FALSE(Kg.Timeout);
-
-    DomainRunResult Td =
-        runClientDomain("taint", *Prog, DomainMode::Td, 1, 1, 1);
-    ASSERT_FALSE(Td.Timeout);
-    EXPECT_EQ(Td.Reports, Kg.Leaks) << "seed " << Seed;
-
-    DomainRunResult Sw =
-        runClientDomain("taint", *Prog, DomainMode::Swift, 1, 2, 1);
-    EXPECT_EQ(Sw.Reports, Kg.Leaks) << "seed " << Seed << " (swift)";
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    checkIfdsContract(*Make(*Prog));
   }
+}
+
+TEST(IfdsProblemContract, Taint) {
+  checkContractOnSeeds([](const Program &P) {
+    return std::make_unique<ifds::TaintProblem>(P, taintSourceClasses(P),
+                                                taintSinkMethods(P));
+  });
+}
+
+TEST(IfdsProblemContract, NullDeref) {
+  checkContractOnSeeds([](const Program &P) {
+    return std::make_unique<ifds::NullDerefProblem>(P);
+  });
+}
+
+TEST(IfdsProblemContract, ReachingDefs) {
+  checkContractOnSeeds([](const Program &P) {
+    return std::make_unique<ifds::ReachingDefsProblem>(P);
+  });
 }
 
 //===----------------------------------------------------------------------===//

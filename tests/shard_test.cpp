@@ -173,6 +173,26 @@ TEST(SpoolCodec, CorruptionIsDetected) {
   EXPECT_THROW((void)shard::decodeSegment(std::string()), shard::SpoolError);
 }
 
+TEST(SpoolCodec, CrcFieldIsExactlyEightHexDigits) {
+  // Pick a segment whose CRC starts with a zero digit, so both a
+  // zero-padded and a leading-digit-cut field still denote the right
+  // value: only the field width can reject them.
+  shard::Segment Seg = sampleSegment();
+  std::string Good;
+  for (Seg.Scc = 0;; ++Seg.Scc) {
+    Good = shard::encodeSegment(Seg);
+    if (Good[Good.size() - 9] == '0')
+      break;
+  }
+  ASSERT_NO_THROW((void)shard::decodeSegment(Good));
+  std::string Digits = Good.substr(Good.size() - 9, 8);
+  std::string Frame = Good.substr(0, Good.size() - 9);
+  for (const std::string &Field : {"00" + Digits, Digits.substr(1)})
+    EXPECT_THROW((void)shard::decodeSegment(Frame + Field + "\n"),
+                 shard::SpoolError)
+        << "crc field '" << Field << "' accepted";
+}
+
 TEST(SpoolCodec, TryLoadVerifiesThenAdoptsAndNeverThrows) {
   ScratchDir Dir("tryload");
   shard::Segment Seg = sampleSegment();
