@@ -12,6 +12,14 @@
 /// from it and thereafter serves call sites from bottom-up summaries
 /// whenever the incoming state is not in the summary's ignore set.
 ///
+/// Triggers are incremental: a bottom-up run re-solves only the reachable
+/// procedures whose summary is missing or stale — the top-down analysis
+/// has seen a new entry state for the procedure since its summary was
+/// pruned — plus their SCC mates, and warm-starts the solver with every
+/// other installed summary. Each installed summary is valid on its own
+/// and serving stays guarded by its ignore set, so which summaries get
+/// recomputed never changes what is served (Theorem 3.1).
+///
 /// With k = infinity this is exactly the conventional top-down analysis
 /// (the TD baseline).
 ///
@@ -46,7 +54,7 @@
 /// Concurrency (the paper's Section 7 sketch, generalized): with
 /// Config::AsyncBu, triggered bottom-up runs execute on worker threads
 /// while the top-down analysis continues. Up to Config::MaxAsyncJobs runs
-/// with pairwise-disjoint trigger frontiers may be in flight at once;
+/// with pairwise-disjoint solve sets may be in flight at once;
 /// every run draws steps from the *shared* budget, so the total cost of a
 /// hybrid run stays bounded by the same cap as the synchronous baselines.
 /// Each bottom-up solve itself parallelizes over the call-graph SCC DAG
@@ -72,7 +80,8 @@
 /// async-BU phase.
 ///
 /// Observability (src/obs): when tracing is enabled the solver emits a
-/// "td.run" span, "bu.sync"/"bu.async" spans per bottom-up run,
+/// "td.run" span, "bu.sync"/"bu.async" spans per bottom-up run (args:
+/// root, frontier, solved, reused),
 /// per-procedure "bu.serve"/"bu.fallback"/"bu.install" instants,
 /// "swift.k_trip" trigger instants, "gov.shed" instants, and a periodic
 /// "td.path_edges" counter track. Every site is a single relaxed atomic
@@ -145,8 +154,8 @@ public:
     /// every value.
     unsigned BuThreads = 1;
     /// With AsyncBu: bound on concurrently in-flight bottom-up runs.
-    /// Triggers whose frontier overlaps an in-flight run's frontier are
-    /// skipped (they would duplicate its work); disjoint frontiers
+    /// Triggers whose frontier overlaps the procedures an in-flight run
+    /// solves are skipped (they would duplicate its work); the others
     /// proceed in parallel up to this bound.
     unsigned MaxAsyncJobs = 2;
     /// Optional resource governor (see file comment). Must outlive the
@@ -165,6 +174,8 @@ public:
     Incoming.resize(N);
     EverCalled.assign(N, false);
     Bu.resize(N);
+    BuIncomingAt.assign(N, 0);
+    BuCharge.assign(N, 0);
   }
 
   /// Runs to fixpoint from the root procedure's Lambda fact. Returns false
@@ -353,6 +364,21 @@ public:
 
   bool buDefined(ProcId P) const { return Bu[P].has_value(); }
   const BuSummary &buSummary(ProcId P) const { return *Bu[P]; }
+
+  /// Governor charge for one installed bottom-up summary.
+  static uint64_t summaryChargeBytes(const BuSummary &S) {
+    return (S.Rels.size() + S.ObsRels.size() + 1) * (sizeof(Rel) + 16);
+  }
+
+  /// Governor charge currently held for installed bottom-up summaries:
+  /// summaryChargeBytes summed over the summaries installed now (0 when
+  /// ungoverned).
+  uint64_t buChargeBytes() const {
+    uint64_t N = 0;
+    for (uint64_t B : BuCharge)
+      N += B;
+    return N;
+  }
 
   /// Visits every computed fact (td map entry): (proc, node, entry state,
   /// current state).
@@ -783,18 +809,20 @@ private:
           ++Stat.counter(CtrGovShedSummaries);
         }
       ++ServeGen; // Cached serve decisions refer to shed summaries.
-      Cfg.Gov->release(GovBuBytes);
-      GovBuBytes = 0;
+      Cfg.Gov->release(buChargeBytes());
+      std::fill(BuCharge.begin(), BuCharge.end(), 0);
     }
   }
 
-  /// Runs the pruned bottom-up analysis on every procedure reachable from
-  /// \p G (Algorithm 1's run_bu), unless some reachable procedure has not
-  /// been seen by the top-down analysis yet (the paper's postponement for
-  /// its first problematic scenario in Section 4). With Config::AsyncBu
-  /// the run happens on a worker thread and the top-down analysis keeps
-  /// going; runs with disjoint frontiers may overlap, all drawing from
-  /// the one shared budget.
+  /// Algorithm 1's run_bu for \p G: makes a pruned bottom-up summary
+  /// available for every procedure reachable from \p G (the frontier),
+  /// unless some of them has not been seen by the top-down analysis yet
+  /// (the paper's postponement for its first problematic scenario in
+  /// Section 4). Only the frontier's missing or stale summaries (and their
+  /// SCC mates) are solved; the rest are reused (see planBu). With
+  /// Config::AsyncBu the run happens on a worker thread and the top-down
+  /// analysis keeps going; runs that solve disjoint sets may overlap, all
+  /// drawing from the one shared budget.
   void tryRunBu(ProcId G) {
     // Degradation ladder: Red mints no bottom-up summaries at all;
     // Yellow stops minting *asynchronous* (speculative) ones and, below,
@@ -829,86 +857,58 @@ private:
         ++Stat.counter(CtrBuBusySkips);
         return;
       }
-      // A frontier overlapping an in-flight run would recompute (some of)
-      // the same summaries; only disjoint frontiers proceed, so a trigger
-      // on an unrelated subtree is no longer dropped just because another
-      // run is in flight.
+      // A frontier meeting an in-flight run's solve set would recompute
+      // (some of) the same summaries; only disjoint ones proceed, so a
+      // trigger on an unrelated subtree is not dropped just because
+      // another run is in flight.
       for (const std::unique_ptr<AsyncJob> &Job : AsyncJobs)
         for (ProcId Q : F)
-          if (Job->FSet.count(Q)) {
+          if (Job->SolveSet.count(Q)) {
             ++Stat.counter(CtrBuBusySkips);
             return;
           }
     }
 
-    // Materialize the frequency multisets M for the pruning ranking.
-    // Workers only ever read this immutable snapshot — never the
-    // interner or the memo tables, which stay top-down-thread-only.
-    auto Freq = std::make_shared<
-        std::vector<std::unordered_map<State, uint64_t>>>();
-    Freq->resize(Prog.numProcs());
-    for (ProcId Q : F)
-      Incoming[Q].forEach([&](uint32_t StateId, uint64_t Count) {
-        (*Freq)[Q].emplace(States[StateId], Count);
-      });
+    BuPlan Plan = planBu(F);
+    uint64_t Frontier = F.size();
 
     if (!Cfg.AsyncBu) {
       obs::TraceSpan BuSpan("bu", "bu.sync", {"root", G},
-                            {"frontier", F.size()});
+                            {"frontier", Frontier},
+                            {"solved", Plan.Solve.size()},
+                            {"reused", Plan.NumReused});
       Timer BuTimer;
       // Local stats: the run's bu.steps are re-attributed to the
       // synchronous-phase budget counter before merging.
       Stats BuStats;
-      RelationalSolver<AN> Solver(
-          Ctx, Prog, CG, EffTheta,
-          [Freq](ProcId Q) { return &(*Freq)[Q]; }, Bud, BuStats,
-          DefaultMaxRelsPerPoint, Cfg.ObservationManifest, Cfg.BuThreads,
-          Cfg.Gov);
-      bool Ok = Solver.run(F);
+      std::vector<BuSummary> Results;
+      bool Ok = solveBu(Plan, EffTheta, BuStats, Results);
       BuStats.counter(CtrBuTimeUs) +=
           static_cast<uint64_t>(BuTimer.seconds() * 1e6);
       Stat.counter(CtrSyncBuSteps) += BuStats.get("bu.steps");
       Stat.merge(BuStats);
       if (!Ok)
         return; // Budget exhausted or cancelled; leave uninstalled.
-      for (ProcId Q : F)
-        install(Q, Solver.summary(Q));
-      ++Stat.counter(CtrBuTriggers);
+      commitBu(Plan, Results);
       return;
     }
 
-    // Asynchronous run: the worker owns a snapshot of the frequency data,
-    // touches only immutable analysis state (context, program, call
-    // graph), and charges the *shared* budget — an async hybrid run costs
-    // at most the same cap as the synchronous baselines it is compared
-    // against.
+    // Asynchronous run: the job owns the plan (its frequency snapshot and
+    // copies of the reused summaries), the worker touches only immutable
+    // analysis state, and it charges the *shared* budget — an async
+    // hybrid run costs at most the same cap as the synchronous baselines
+    // it is compared against.
     auto Job = std::make_unique<AsyncJob>();
-    Job->F = std::move(F);
-    Job->FSet.insert(Job->F.begin(), Job->F.end());
+    Job->Plan = std::move(Plan);
+    Job->SolveSet.insert(Job->Plan.Solve.begin(), Job->Plan.Solve.end());
     AsyncJob *J = Job.get();
-    const Context *CtxPtr = &Ctx;
-    const Program *ProgPtr = &Prog;
-    const CallGraph *CGPtr = &CG;
-    Budget *BudPtr = &Bud;
-    uint64_t Theta = EffTheta;
-    bool Manifest = Cfg.ObservationManifest;
-    unsigned BuThreads = Cfg.BuThreads;
-    ResourceGovernor *Gov = Cfg.Gov;
-    uint64_t Root = G;
-    J->Worker = std::thread([J, Freq, CtxPtr, ProgPtr, CGPtr, BudPtr,
-                             Theta, Manifest, BuThreads, Gov, Root]() {
-      obs::TraceSpan BuSpan("bu", "bu.async", {"root", Root},
-                            {"frontier", J->F.size()});
+    J->Worker = std::thread([this, J, EffTheta, G, Frontier]() {
+      obs::TraceSpan BuSpan("bu", "bu.async", {"root", G},
+                            {"frontier", Frontier},
+                            {"solved", J->Plan.Solve.size()},
+                            {"reused", J->Plan.NumReused});
       Timer BuTimer;
-      RelationalSolver<AN> Solver(
-          *CtxPtr, *ProgPtr, *CGPtr, Theta,
-          [Freq](ProcId Q) { return &(*Freq)[Q]; }, *BudPtr,
-          J->WorkerStats, DefaultMaxRelsPerPoint, Manifest, BuThreads,
-          Gov);
-      J->Ok = Solver.run(J->F);
-      if (J->Ok)
-        for (ProcId Q : J->F)
-          J->Results.push_back(Solver.summary(Q));
+      J->Ok = solveBu(J->Plan, EffTheta, J->WorkerStats, J->Results);
       J->WorkerStats.counter("swift.bu_time_us") +=
           static_cast<uint64_t>(BuTimer.seconds() * 1e6);
       // Release ordering: publishes Ok/Results/WorkerStats to the
@@ -918,19 +918,112 @@ private:
     AsyncJobs.push_back(std::move(Job));
   }
 
-  void install(ProcId Q, BuSummary Summary) {
+  /// One trigger's share of the bottom-up work.
+  struct BuPlan {
+    /// The procedures to (re-)solve, in frontier order; closed under SCC
+    /// membership.
+    std::vector<ProcId> Solve;
+    /// Incoming[Q].size() when Q's frequencies were snapshotted, per
+    /// Solve member; committed on install (see isStale).
+    std::vector<uint64_t> IncomingAt;
+    /// Copies of the installed summaries that Solve members call.
+    std::vector<std::pair<ProcId, BuSummary>> Reused;
+    /// The frequency multisets M of the Solve members (empty elsewhere).
+    std::vector<std::unordered_map<State, uint64_t>> Freq;
+    uint64_t NumReused = 0; ///< Frontier members not re-solved.
+    uint64_t NumStale = 0;  ///< Solve members replacing a stale summary.
+  };
+
+  /// A procedure's installed summary is stale once the top-down analysis
+  /// has seen an entry state for it that the frequency snapshot behind
+  /// its pruning did not contain. Re-solving it may then keep different,
+  /// better-supported theta cases; serving a summary pruned on early,
+  /// thin frequency data forever would route ever more calls top-down.
+  bool isStale(ProcId Q) const {
+    return Incoming[Q].size() > BuIncomingAt[Q];
+  }
+
+  /// Splits the trigger frontier \p F (closed under calls) into the
+  /// SCCs that need solving — some member has no summary or a stale one —
+  /// and the installed summaries the solve reuses. Materializes the
+  /// frequency snapshot for the solved procedures only; workers read the
+  /// snapshot, never the interner or the memo tables, which stay
+  /// top-down-thread-only.
+  BuPlan planBu(const std::vector<ProcId> &F) {
+    BuPlan Plan;
+    std::unordered_set<size_t> Dirty; // SCC indices to solve.
+    for (ProcId Q : F)
+      if (!Bu[Q] || isStale(Q)) {
+        Dirty.insert(CG.scc(Q));
+        if (Bu[Q])
+          ++Plan.NumStale;
+      }
+    Plan.Freq.resize(Prog.numProcs());
+    for (ProcId Q : F) {
+      if (!Dirty.count(CG.scc(Q)))
+        continue;
+      Plan.Solve.push_back(Q);
+      Plan.IncomingAt.push_back(Incoming[Q].size());
+      Incoming[Q].forEach([&](uint32_t StateId, uint64_t Count) {
+        Plan.Freq[Q].emplace(States[StateId], Count);
+      });
+    }
+    Plan.NumReused = F.size() - Plan.Solve.size();
+    // F is closed under calls, so every callee of a Solve member outside
+    // a dirty SCC has an installed summary; the solver reads exactly
+    // those.
+    std::unordered_set<ProcId> Handed;
+    for (ProcId P : Plan.Solve)
+      for (ProcId Q : CG.callees(P))
+        if (!Dirty.count(CG.scc(Q)) && Handed.insert(Q).second)
+          Plan.Reused.push_back({Q, *Bu[Q]});
+    return Plan;
+  }
+
+  /// Solves \p Plan on a fresh relational solver warm-started with its
+  /// reused summaries; on success \p Results holds one summary per
+  /// Plan.Solve member. Reads only immutable solver members (the
+  /// context, program, call graph, config, and the thread-safe budget),
+  /// so asynchronous jobs call it from their worker thread.
+  bool solveBu(BuPlan &Plan, uint64_t Theta, Stats &S,
+               std::vector<BuSummary> &Results) const {
+    const auto &Freq = Plan.Freq;
+    RelationalSolver<AN> Solver(
+        Ctx, Prog, CG, Theta, [&Freq](ProcId Q) { return &Freq[Q]; }, Bud,
+        S, DefaultMaxRelsPerPoint, Cfg.ObservationManifest, Cfg.BuThreads,
+        Cfg.Gov);
+    for (auto &[Q, Sum] : Plan.Reused)
+      Solver.installSummary(Q, std::move(Sum));
+    if (!Solver.run(Plan.Solve))
+      return false;
+    for (ProcId Q : Plan.Solve)
+      Results.push_back(Solver.summary(Q));
+    return true;
+  }
+
+  /// Installs a successful run's summaries and counts the trigger.
+  void commitBu(const BuPlan &Plan, std::vector<BuSummary> &Results) {
+    for (size_t I = 0; I != Plan.Solve.size(); ++I)
+      install(Plan.Solve[I], std::move(Results[I]), Plan.IncomingAt[I]);
+    ++Stat.counter(CtrBuTriggers);
+    Stat.counter(CtrBuReused) += Plan.NumReused;
+    Stat.counter(CtrBuStaleResolves) += Plan.NumStale;
+  }
+
+  void install(ProcId Q, BuSummary Summary, uint64_t IncomingAt) {
     Bu[Q] = std::move(Summary);
+    BuIncomingAt[Q] = IncomingAt;
     ++ServeGen; // Cached serve decisions for Q are stale now.
     obs::instant("td", "bu.install", {"proc", Q},
                  {"rels", Bu[Q]->Rels.size()});
     Stat.counter(CtrBuSummaryRels) += Bu[Q]->Rels.size();
     Stat.counter(CtrBuSummarySigma) += Bu[Q]->SigmaAll.size();
     if (Cfg.Gov) {
-      uint64_t Bytes =
-          (Bu[Q]->Rels.size() + Bu[Q]->ObsRels.size() + 1) *
-          (sizeof(Rel) + 16);
-      Cfg.Gov->charge(Bytes);
-      GovBuBytes += Bytes;
+      // A stale re-solve replaces an installed summary: release its
+      // charge before charging the new one.
+      Cfg.Gov->release(BuCharge[Q]);
+      BuCharge[Q] = summaryChargeBytes(*Bu[Q]);
+      Cfg.Gov->charge(BuCharge[Q]);
     }
   }
 
@@ -951,9 +1044,7 @@ private:
     AsyncJob &Job = *AsyncJobs[I];
     Job.Worker.join();
     if (Job.Ok) {
-      for (size_t K = 0; K != Job.F.size(); ++K)
-        install(Job.F[K], std::move(Job.Results[K]));
-      ++Stat.counter(CtrBuTriggers);
+      commitBu(Job.Plan, Job.Results);
       Stat.counter(CtrAsyncBuSteps) += Job.WorkerStats.get("bu.steps");
     } else {
       // Cancelled mid-flight (Red latch) or budget-exhausted: nothing was
@@ -997,6 +1088,9 @@ private:
   std::vector<FlatMap32<uint64_t>> Incoming;
   BitVec EverCalled;
   std::vector<std::optional<BuSummary>> Bu;
+  /// Per procedure: Incoming[P].size() when the frequency snapshot behind
+  /// its installed summary was taken (see isStale).
+  std::vector<uint64_t> BuIncomingAt;
 
   // Call-site binding arena: dense site ids double as memo keys.
   HashIndex BindingIdx;
@@ -1029,8 +1123,9 @@ private:
   std::vector<ServeRow> ServeRows;
   uint32_t ServeGen = 0; ///< Bumped on every install and shed.
 
-  bool GovShedDone = false;   ///< Red-pressure cache shed ran.
-  uint64_t GovBuBytes = 0;    ///< Memory charged for installed summaries.
+  bool GovShedDone = false; ///< Red-pressure cache shed ran.
+  /// Per procedure: memory charged for its installed summary.
+  std::vector<uint64_t> BuCharge;
 
   struct AsyncJob {
     std::thread Worker;
@@ -1041,12 +1136,14 @@ private:
     /// no ordering from Done at all.
     std::atomic<bool> Done{false};
     bool Ok = false;
-    std::vector<ProcId> F;
-    std::unordered_set<ProcId> FSet; ///< For frontier-disjointness tests.
+    BuPlan Plan;
+    /// The procedures this job solves; a trigger whose frontier meets
+    /// them is skipped (it would duplicate the work).
+    std::unordered_set<ProcId> SolveSet;
     std::vector<BuSummary> Results;
     Stats WorkerStats;
   };
-  /// In-flight asynchronous bottom-up runs; pairwise-disjoint frontiers,
+  /// In-flight asynchronous bottom-up runs; pairwise-disjoint solve sets,
   /// at most Config::MaxAsyncJobs.
   std::vector<std::unique_ptr<AsyncJob>> AsyncJobs;
 
@@ -1061,6 +1158,8 @@ private:
   Stats::Counter CtrBuTimeUs = Stats::id("swift.bu_time_us");
   Stats::Counter CtrBuSummaryRels = Stats::id("swift.bu_summary_rels");
   Stats::Counter CtrBuSummarySigma = Stats::id("swift.bu_summary_sigma");
+  Stats::Counter CtrBuReused = Stats::id("swift.bu_reused_summaries");
+  Stats::Counter CtrBuStaleResolves = Stats::id("swift.bu_stale_resolves");
   // Budget phase attribution and governor events.
   Stats::Counter CtrTdSteps = Stats::id("budget.td_steps");
   Stats::Counter CtrSyncBuSteps = Stats::id("budget.sync_bu_steps");

@@ -33,19 +33,16 @@ std::atomic<bool> TraceOn{false};
 
 namespace {
 
-/// Fixed chunk capacity: 2048 events * 72 B ≈ 144 KiB per chunk. Chunks
+/// Fixed chunk capacity: 2048 events * 104 B ≈ 208 KiB per chunk. Chunks
 /// are allocated by the writing thread only when tracing is enabled.
 constexpr size_t ChunkCap = 2048;
 
 struct Event {
   const char *Cat;
   const char *Name;
-  const char *AName;
-  const char *BName;
   uint64_t TsUs;
   uint64_t DurUs;
-  uint64_t AVal;
-  uint64_t BVal;
+  std::array<TraceArg, 4> Args; ///< Absent args have a null Name.
   char Phase;
 };
 
@@ -183,23 +180,18 @@ void appendEventJson(std::string &Out, const Event &E, uint32_t Tid) {
     Out += ",\"s\":\"t\""; // Thread-scoped instant.
   Out += ",\"pid\":1,\"tid\":";
   appendU64(Out, Tid);
-  if (E.AName || E.BName) {
-    Out += ",\"args\":{";
-    bool First = true;
-    for (const auto &[N, V] :
-         {std::pair{E.AName, E.AVal}, std::pair{E.BName, E.BVal}}) {
-      if (!N)
-        continue;
-      if (!First)
-        Out += ',';
-      First = false;
-      Out += '"';
-      appendEscaped(Out, N);
-      Out += "\":";
-      appendU64(Out, V);
-    }
-    Out += '}';
+  bool First = true;
+  for (const TraceArg &A : E.Args) {
+    if (!A.Name)
+      continue;
+    Out += First ? ",\"args\":{\"" : ",\"";
+    First = false;
+    appendEscaped(Out, A.Name);
+    Out += "\":";
+    appendU64(Out, A.Value);
   }
+  if (!First)
+    Out += '}';
   Out += '}';
 }
 
@@ -214,16 +206,13 @@ uint64_t nowUs() {
 }
 
 void emit(char Phase, const char *Cat, const char *Name, uint64_t TsUs,
-          uint64_t DurUs, TraceArg A, TraceArg B) {
+          uint64_t DurUs, TraceArg A, TraceArg B, TraceArg C, TraceArg D) {
   Event E;
   E.Cat = Cat;
   E.Name = Name;
-  E.AName = A.Name;
-  E.BName = B.Name;
   E.TsUs = TsUs;
   E.DurUs = DurUs;
-  E.AVal = A.Value;
-  E.BVal = B.Value;
+  E.Args = {A, B, C, D};
   E.Phase = Phase;
   myBuf()->push(E);
 }

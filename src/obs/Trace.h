@@ -64,7 +64,8 @@ uint64_t nowUs();
 /// Records one event into the calling thread's buffer. Caller has already
 /// checked tracingEnabled().
 void emit(char Phase, const char *Cat, const char *Name, uint64_t TsUs,
-          uint64_t DurUs, TraceArg A, TraceArg B);
+          uint64_t DurUs, TraceArg A, TraceArg B, TraceArg C = {},
+          TraceArg D = {});
 } // namespace detail
 
 /// One relaxed atomic load: the disabled-mode fast path.
@@ -98,17 +99,19 @@ inline void counterEvent(const char *Name, const char *Series,
 /// RAII duration span: captures the start time at construction, emits one
 /// complete ("X") event at destruction (or close()). When tracing is
 /// disabled at construction the destructor is a no-op — a span does not
-/// straddle an enable/disable edge.
+/// straddle an enable/disable edge. A span carries up to four args.
 class TraceSpan {
 public:
   TraceSpan(const char *Cat, const char *Name, TraceArg A = {},
-            TraceArg B = {}) {
+            TraceArg B = {}, TraceArg C = {}, TraceArg D = {}) {
     if (!tracingEnabled())
       return;
     this->Cat = Cat;
     this->Name = Name;
     this->A = A;
     this->B = B;
+    this->C = C;
+    this->D = D;
     StartUs = detail::nowUs();
     Active = true;
   }
@@ -122,7 +125,8 @@ public:
     if (!Active)
       return;
     Active = false;
-    detail::emit('X', Cat, Name, StartUs, detail::nowUs() - StartUs, A, B);
+    detail::emit('X', Cat, Name, StartUs, detail::nowUs() - StartUs, A, B, C,
+                 D);
   }
 
   /// Attaches/overwrites the second argument before the span closes —
@@ -135,7 +139,7 @@ public:
 private:
   const char *Cat = nullptr;
   const char *Name = nullptr;
-  TraceArg A, B;
+  TraceArg A, B, C, D;
   uint64_t StartUs = 0;
   bool Active = false;
 };

@@ -8,12 +8,14 @@
 /// Directed tests of framework mechanics that the property tests only
 /// exercise statistically: the observation manifest (errors on diverging
 /// paths inside served callees), Lambda flow through never-returning
-/// callees, trigger postponement, budget exhaustion, and summary
-/// degradation soundness.
+/// callees, trigger postponement, incremental triggers (summary reuse and
+/// stale re-solves), budget exhaustion, and summary degradation
+/// soundness.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "framework/Tabulation.h"
+#include "genprog/Fuzzer.h"
 #include "lang/Lower.h"
 #include "typestate/Runner.h"
 #include "typestate/TsAnalysis.h"
@@ -152,6 +154,101 @@ TEST(FrameworkTest, TriggerPostponedUntilCalleesSeen) {
   EXPECT_GE(Sw.Stat.get("swift.bu_triggers") +
                 Sw.Stat.get("swift.bu_postponed"),
             1u);
+}
+
+TEST(FrameworkTest, UpToDateCalleeSummariesAreReused) {
+  // g trips first and is summarized alone. f1 and f2 trip later; their
+  // frontiers {f1, g} and {f2, g} find g's summary installed and up to
+  // date, so each trigger solves only its own root. Every SCC here is a
+  // single non-recursive procedure: one pass to compute its summary, one
+  // to confirm it. Re-solving g on every trigger would cost 2 * 5.
+  std::unique_ptr<Program> Prog = parseProgram(R"(
+    typestate File { start c; error e; c -open-> o; o -close-> c; }
+    proc g(x) { x.open(); x.close(); }
+    proc f1(y) { g(y); }
+    proc f2(z) { g(z); }
+    proc main() {
+      a = new File; b = new File; d = new File; h = new File;
+      g(a); g(b);
+      f1(a); f1(b); f1(d); f1(h);
+      f2(a); f2(b); f2(d); f2(h);
+    }
+  )");
+  TsContext Ctx(*Prog, Prog->symbols().intern("File"));
+  TsRunResult Td = runTypestateTd(Ctx);
+  TsRunResult Sw = runTypestateSwift(Ctx, 1, 2);
+  ASSERT_FALSE(Sw.Timeout);
+  EXPECT_EQ(Sw.Stat.get("swift.bu_triggers"), 3u);
+  EXPECT_EQ(Sw.Stat.get("swift.bu_reused_summaries"), 2u);
+  EXPECT_EQ(Sw.Stat.get("swift.bu_stale_resolves"), 0u);
+  EXPECT_EQ(Sw.Stat.get("bu.proc_analyses"), 2u * 3u);
+  EXPECT_EQ(Sw.MainExit, Td.MainExit);
+  EXPECT_EQ(Sw.ErrorSites, Td.ErrorSites);
+}
+
+TEST(FrameworkTest, StaleCalleeSummaryIsResolved) {
+  // g trips on its second entry state (a closed, then a open) and is
+  // pruned on those two. g(b) then brings entry states the pruning never
+  // saw, so when f trips, g's summary is stale and f's trigger re-solves
+  // it along with f: four passes, on top of g's first two.
+  std::unique_ptr<Program> Prog = parseProgram(R"(
+    typestate File { start c; error e; c -open-> o; o -close-> c; }
+    proc g(x) { x.open(); x.close(); }
+    proc f(y) { g(y); }
+    proc main() {
+      a = new File;
+      g(a);
+      a.open();
+      g(a);
+      b = new File;
+      g(b);
+      f(a);
+      f(b);
+    }
+  )");
+  TsContext Ctx(*Prog, Prog->symbols().intern("File"));
+  TsRunResult Td = runTypestateTd(Ctx);
+  TsRunResult Sw = runTypestateSwift(Ctx, 1, 2);
+  ASSERT_FALSE(Sw.Timeout);
+  EXPECT_EQ(Sw.Stat.get("swift.bu_triggers"), 2u);
+  EXPECT_EQ(Sw.Stat.get("swift.bu_stale_resolves"), 1u);
+  EXPECT_EQ(Sw.Stat.get("swift.bu_reused_summaries"), 0u);
+  EXPECT_EQ(Sw.Stat.get("bu.proc_analyses"), 2u + 4u);
+  EXPECT_EQ(Sw.MainExit, Td.MainExit);
+  EXPECT_EQ(Sw.ErrorSites, Td.ErrorSites);
+}
+
+TEST(FrameworkTest, IncrementalTriggersStayCoincident) {
+  // Reused and re-solved summaries mix freely across triggers; the
+  // served results must still equal TD's (Theorem 3.1), synchronously
+  // and asynchronously, at every theta.
+  uint64_t Reused = 0, Stale = 0;
+  for (uint64_t Seed = 1; Seed <= 20; ++Seed) {
+    FuzzConfig FC;
+    FC.Seed = Seed;
+    FC.NumProcs = 4 + Seed % 5;
+    FC.StmtsPerProc = 6 + Seed % 6;
+    FC.NumVars = 3;
+    std::unique_ptr<Program> Prog = generateFuzzProgram(FC);
+    TsContext Ctx(*Prog, Prog->symbols().intern("File"));
+    TsRunResult Td = runTypestateTd(Ctx);
+    ASSERT_FALSE(Td.Timeout);
+    for (uint64_t Theta : {1u, 2u, 4u})
+      for (bool Async : {false, true}) {
+        TsRunResult Sw =
+            runTypestateSwift(Ctx, 1, Theta, RunLimits{}, Async);
+        ASSERT_FALSE(Sw.Timeout);
+        EXPECT_EQ(Sw.MainExit, Td.MainExit)
+            << "seed " << Seed << " theta " << Theta << " async " << Async;
+        EXPECT_EQ(Sw.ErrorSites, Td.ErrorSites)
+            << "seed " << Seed << " theta " << Theta << " async " << Async;
+        Reused += Sw.Stat.get("swift.bu_reused_summaries");
+        Stale += Sw.Stat.get("swift.bu_stale_resolves");
+      }
+  }
+  // The sweep exercises both halves of the incremental trigger.
+  EXPECT_GT(Reused, 0u);
+  EXPECT_GT(Stale, 0u);
 }
 
 TEST(FrameworkTest, BudgetExhaustionIsReportedNotFatal) {

@@ -9,8 +9,9 @@
 /// pressure latch, the memory-cap trip wire, partial-result soundness
 /// (budget-exhausted verdicts are a subset of the full run's), determinism
 /// of governed sync runs across thread counts, the Yellow/Red degradation
-/// ladder, budget phase attribution, and checkpoint/resume — including the
-/// bit-identity guarantee for pure top-down runs.
+/// ladder, budget phase attribution, the memory charge of installed
+/// summaries, and checkpoint/resume — including the bit-identity
+/// guarantee for pure top-down runs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,7 @@
 #include "genprog/Fuzzer.h"
 #include "govern/Checkpoint.h"
 #include "govern/Governor.h"
+#include "lang/Lower.h"
 #include "support/FailPoint.h"
 #include "typestate/Runner.h"
 
@@ -348,6 +350,50 @@ TEST(GovernedRunTest, CancelledAsyncBuAttributesToGovNotBudget) {
   // Tiny budgets with an immediate trigger: across the sweep, some run
   // certainly had an async job in flight when the budget ran out.
   EXPECT_GT(TotalCancelled, 0u);
+}
+
+TEST(GovernedRunTest, ResolvedSummaryReleasesReplacedCharge) {
+  // A stale re-solve replaces an installed summary. The governor must
+  // then hold the new summary's charge only: charging the replacement
+  // without releasing the old one inflated the memory estimate on every
+  // re-solve, and a --mem-mb cap could trip on memory no longer held.
+  // Here g is summarized, then sees new entry states, and f's trigger
+  // re-solves it (framework_test's StaleCalleeSummaryIsResolved).
+  std::unique_ptr<Program> Prog = parseProgram(R"(
+    typestate File { start c; error e; c -open-> o; o -close-> c; }
+    proc g(x) { x.open(); x.close(); }
+    proc f(y) { g(y); }
+    proc main() {
+      a = new File;
+      g(a);
+      a.open();
+      g(a);
+      b = new File;
+      g(b);
+      f(a);
+      f(b);
+    }
+  )");
+  TsContext Ctx(*Prog, Prog->symbols().intern("File"));
+  ResourceGovernor Gov(GovernorLimits{});
+  Stats Stat;
+  TabulationSolver<TsAnalysis>::Config Cfg;
+  Cfg.K = 1;
+  Cfg.Theta = 2;
+  Cfg.Gov = &Gov;
+  TabulationSolver<TsAnalysis> Solver(Ctx, *Prog, Ctx.callGraph(), Cfg,
+                                      Gov.budget(), Stat);
+  ASSERT_TRUE(Solver.run());
+  ASSERT_EQ(Stat.get("swift.bu_stale_resolves"), 1u);
+
+  uint64_t Installed = 0;
+  for (ProcId P = 0; P != Prog->numProcs(); ++P)
+    if (Solver.buDefined(P))
+      Installed += TabulationSolver<TsAnalysis>::summaryChargeBytes(
+          Solver.buSummary(P));
+  EXPECT_GT(Installed, 0u);
+  EXPECT_EQ(Solver.buChargeBytes(), Installed);
+  EXPECT_LE(Solver.buChargeBytes(), Gov.memoryBytes());
 }
 
 //===----------------------------------------------------------------------===//

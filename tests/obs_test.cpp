@@ -9,13 +9,14 @@
 /// zero-allocation contract, span nesting under ThreadPool concurrency
 /// (also a TSan target for the lock-free trace buffers), Chrome-trace and
 /// metrics-snapshot JSON round-trips through the bundled parser,
-/// histogram bucket known-answer tests, and the failpoint-driven flush
-/// write-failure path proving a trace I/O error never affects analysis
-/// results.
+/// histogram bucket known-answer tests, the bottom-up run span args, and
+/// the failpoint-driven flush write-failure path proving a trace I/O error
+/// never affects analysis results.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "genprog/Fuzzer.h"
+#include "lang/Lower.h"
 #include "obs/Json.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
@@ -486,6 +487,62 @@ TEST(TraceTest, FlushFailureDoesNotAffectAnalysis) {
   EXPECT_EQ(Traced.MainExit, Baseline.MainExit);
   EXPECT_EQ(Traced.Steps, Baseline.Steps);
   EXPECT_EQ(Traced.TdSummaries, Baseline.TdSummaries);
+  R.reset();
+}
+
+TEST(TraceTest, BuSyncSpansSplitFrontierIntoSolvedAndReused) {
+  // g trips first; f1 and f2 trip later and reuse g's up-to-date summary
+  // (framework_test's UpToDateCalleeSummariesAreReused). Each bu.sync
+  // span carries the four args, in order, with solved + reused ==
+  // frontier.
+  std::unique_ptr<Program> Prog = parseProgram(R"(
+    typestate File { start c; error e; c -open-> o; o -close-> c; }
+    proc g(x) { x.open(); x.close(); }
+    proc f1(y) { g(y); }
+    proc f2(z) { g(z); }
+    proc main() {
+      a = new File; b = new File; d = new File; h = new File;
+      g(a); g(b);
+      f1(a); f1(b); f1(d); f1(h);
+      f2(a); f2(b); f2(d); f2(h);
+    }
+  )");
+  TsContext Ctx(*Prog, Prog->symbols().intern("File"));
+  obs::TraceRecorder &R = obs::TraceRecorder::instance();
+  R.start();
+  TsRunResult Sw = runTypestateSwift(Ctx, 1, 2);
+  R.stop();
+  ASSERT_FALSE(Sw.Timeout);
+
+  json::Value Root = json::parse(R.toJson());
+  const json::Value *Events = Root.find("traceEvents");
+  ASSERT_TRUE(Events && Events->isArray());
+  uint64_t Spans = 0, Solved = 0, Reused = 0;
+  for (const json::Value &E : Events->Arr) {
+    const json::Value *Name = E.find("name");
+    if (!Name || Name->Str != "bu.sync")
+      continue;
+    ++Spans;
+    const json::Value *Args = E.find("args");
+    ASSERT_TRUE(Args && Args->isObject());
+    std::vector<std::string> Keys;
+    for (const auto &[K, V] : Args->Obj) {
+      ASSERT_TRUE(V.isNumber()) << K;
+      Keys.push_back(K);
+    }
+    EXPECT_EQ(Keys, (std::vector<std::string>{"root", "frontier", "solved",
+                                              "reused"}));
+    uint64_t S = Args->find("solved")->asU64();
+    uint64_t U = Args->find("reused")->asU64();
+    EXPECT_EQ(S + U, Args->find("frontier")->asU64());
+    EXPECT_EQ(S, 1u); // Only the tripping procedure is solved.
+    Solved += S;
+    Reused += U;
+  }
+  EXPECT_EQ(Spans, Sw.Stat.get("swift.bu_triggers"));
+  EXPECT_EQ(Spans, 3u);
+  EXPECT_EQ(Reused, Sw.Stat.get("swift.bu_reused_summaries"));
+  EXPECT_EQ(Reused, 2u);
   R.reset();
 }
 
