@@ -10,7 +10,8 @@
 #include "ir/Dumper.h"
 #include "ir/Program.h"
 #include "support/AtomicFile.h"
-#include "support/Hashing.h"
+#include "support/CliParse.h"
+#include "support/Frame.h"
 
 #include <algorithm>
 #include <sstream>
@@ -57,15 +58,10 @@ std::vector<std::string> tokenize(const std::string &Line) {
 }
 
 uint64_t parseU64(const std::string &T, size_t Line) {
-  try {
-    size_t Pos = 0;
-    uint64_t V = std::stoull(T, &Pos);
-    if (Pos != T.size())
-      fail(Line, "trailing characters in number '" + T + "'");
-    return V;
-  } catch (const std::logic_error &) {
+  uint64_t V = 0;
+  if (!cli::parseU64(T, V))
     fail(Line, "expected a number, got '" + T + "'");
-  }
+  return V;
 }
 
 AccessPath parsePath(const std::string &T, Program &Prog, size_t Line) {
@@ -354,6 +350,9 @@ ParsedCheckpoint swift::parseCheckpointText(std::string_view Text) {
     ApSet MustNot = readPaths();
     if (Idx != T.size())
       fail(R.Line, "trailing tokens on state row");
+    for (const AccessPath &P : Must)
+      if (MustNot.contains(P))
+        fail(R.Line, "must and must-not sets overlap");
     S.States.push_back(TsAbstractState(static_cast<SiteId>(Site), TS,
                                        std::move(Must),
                                        std::move(MustNot)));
@@ -475,9 +474,6 @@ namespace {
 
 constexpr std::string_view MagicV1 = "swift-ckpt v1";
 constexpr std::string_view HeaderV2 = "swift-ckpt v2 ";
-constexpr std::string_view TrailerTag = "crc32 ";
-/// Trailer: "crc32 " + 8 hex digits + '\n'.
-constexpr size_t TrailerSize = TrailerTag.size() + 8 + 1;
 
 [[noreturn]] void loadFail(LoadErrorKind K, const std::string &Msg) {
   throw CheckpointLoadError(K, "swift-ckpt: " + Msg + " [" +
@@ -487,16 +483,7 @@ constexpr size_t TrailerSize = TrailerTag.size() + 8 + 1;
 } // namespace
 
 std::string swift::frameCheckpointV2(std::string_view Payload) {
-  std::string Out;
-  Out.reserve(Payload.size() + 48);
-  Out.append(HeaderV2);
-  Out += std::to_string(Payload.size());
-  Out += '\n';
-  Out.append(Payload);
-  Out.append(TrailerTag);
-  Out += hex8(crc32(Payload.data(), Payload.size()));
-  Out += '\n';
-  return Out;
+  return frame(HeaderV2, Payload);
 }
 
 ParsedCheckpoint swift::parseCheckpointFile(std::string_view Text) {
@@ -514,48 +501,13 @@ ParsedCheckpoint swift::parseCheckpointFile(std::string_view Text) {
   }
 
   if (Text.substr(0, HeaderV2.size()) == HeaderV2) {
-    size_t Eol = Text.find('\n');
-    if (Eol == std::string_view::npos)
-      loadFail(LoadErrorKind::Truncated, "v2 header line is cut short");
-    std::string_view LenText = Text.substr(HeaderV2.size(),
-                                           Eol - HeaderV2.size());
-    uint64_t Len = 0;
-    if (LenText.empty())
-      loadFail(LoadErrorKind::Corrupt, "v2 header has no payload length");
-    for (char C : LenText) {
-      if (C < '0' || C > '9')
-        loadFail(LoadErrorKind::Corrupt,
-                 "malformed v2 payload length '" + std::string(LenText) +
-                     "'");
-      if (Len > UINT64_MAX / 10)
-        loadFail(LoadErrorKind::Corrupt, "v2 payload length out of range");
-      Len = Len * 10 + static_cast<uint64_t>(C - '0');
-    }
-    size_t Body = Eol + 1;
-    if (Len > Text.size() - Body)
-      loadFail(LoadErrorKind::Truncated,
-               "payload truncated: header declares " + std::to_string(Len) +
-                   " bytes, " + std::to_string(Text.size() - Body) +
-                   " present");
-    std::string_view Payload = Text.substr(Body, Len);
-    std::string_view Rest = Text.substr(Body + Len);
-    if (Rest.size() < TrailerSize)
-      loadFail(LoadErrorKind::Truncated, "CRC trailer is missing or cut");
-    if (Rest.size() > TrailerSize)
-      loadFail(LoadErrorKind::Corrupt, "trailing data after CRC trailer");
-    if (Rest.substr(0, TrailerTag.size()) != TrailerTag ||
-        Rest.back() != '\n')
-      loadFail(LoadErrorKind::Corrupt, "malformed CRC trailer");
-    uint32_t Stored = 0;
-    if (!parseHex8(Rest.substr(TrailerTag.size(), 8), Stored))
-      loadFail(LoadErrorKind::Corrupt, "malformed CRC value");
-    uint32_t Computed = crc32(Payload.data(), Payload.size());
-    if (Computed != Stored)
-      loadFail(LoadErrorKind::Corrupt, "CRC mismatch: stored " +
-                                           hex8(Stored) + ", computed " +
-                                           hex8(Computed));
+    Unframed U = unframe(HeaderV2, Text);
+    if (U.Status != FrameStatus::Ok)
+      loadFail(U.Status == FrameStatus::Truncated ? LoadErrorKind::Truncated
+                                                  : LoadErrorKind::Corrupt,
+               U.Reason);
     try {
-      return parseCheckpointText(Payload);
+      return parseCheckpointText(U.Payload);
     } catch (const std::exception &E) {
       // The frame validated but the payload does not parse: a producer
       // bug or a collision-rate event, not a torn file.

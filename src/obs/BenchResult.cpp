@@ -261,6 +261,22 @@ DiffResult benchjson::diffReports(const Report &Base, const Report &New,
   return D;
 }
 
+namespace {
+
+/// One metric value in the diff table. Integral values (steps and work
+/// counts) print exactly, so a change of one step on a million-step row
+/// stays visible; fractional values (seconds, MiB) print as %g.
+std::string diffValue(double V) {
+  char Buf[32];
+  if (std::nearbyint(V) == V && std::fabs(V) < 9007199254740992.0) // 2^53
+    std::snprintf(Buf, sizeof(Buf), "%.0f", V);
+  else
+    std::snprintf(Buf, sizeof(Buf), "%g", V);
+  return Buf;
+}
+
+} // namespace
+
 std::string benchjson::formatDiff(const DiffResult &D,
                                   const DiffOptions &O) {
   std::string Out;
@@ -279,8 +295,9 @@ std::string benchjson::formatDiff(const DiffResult &D,
     }
     double Ratio = E.Old > 0 ? E.New / E.Old : (E.New > 0 ? HUGE_VAL : 1.0);
     std::snprintf(Buf, sizeof(Buf),
-                  "%-9s %-28s %-12s %14g -> %-14g (%.2fx)\n", Tag,
-                  E.RowKey.c_str(), E.Name.c_str(), E.Old, E.New, Ratio);
+                  "%-9s %-28s %-12s %14s -> %-14s (%.2fx)\n", Tag,
+                  E.RowKey.c_str(), E.Name.c_str(), diffValue(E.Old).c_str(),
+                  diffValue(E.New).c_str(), Ratio);
     Out += Buf;
   }
   for (const std::string &K : D.NewTimeouts)

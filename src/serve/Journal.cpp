@@ -16,8 +16,9 @@
 #include "serve/Journal.h"
 
 #include "support/AtomicFile.h"
+#include "support/CliParse.h"
 #include "support/FailPoint.h"
-#include "support/Hashing.h"
+#include "support/Frame.h"
 
 #include <cerrno>
 #include <cstring>
@@ -36,16 +37,16 @@ namespace {
 /// *inside* a record, not just before it.
 constexpr size_t AppendChunk = 256;
 
-constexpr std::string_view TrailerTag = "crc32 ";
-
 std::string opError(const char *Op, const std::string &Path, int Err) {
   return std::string(Op) + " '" + Path + "': " + std::strerror(Err);
 }
 
 /// Parses "edit <namelen> <bodylen>" (no trailing newline). Returns
-/// false on any malformation — which replay treats as a torn tail.
-bool parseRecordHeader(std::string_view Line, size_t &NameLen,
-                       size_t &BodyLen) {
+/// false on any malformation — which replay treats as a torn tail. Each
+/// length is capped below 10^12 (no record field is a terabyte), so the
+/// record-extent sum cannot wrap.
+bool parseRecordHeader(std::string_view Line, uint64_t &NameLen,
+                       uint64_t &BodyLen) {
   constexpr std::string_view Tag = "edit ";
   if (Line.substr(0, Tag.size()) != Tag)
     return false;
@@ -53,32 +54,18 @@ bool parseRecordHeader(std::string_view Line, size_t &NameLen,
   size_t Sp = Line.find(' ');
   if (Sp == std::string_view::npos)
     return false;
-  auto Dec = [](std::string_view V, size_t &Out) {
-    if (V.empty() || V.size() > 12) // sanity cap: no record field is GBs
-      return false;
-    size_t N = 0;
-    for (char C : V) {
-      if (C < '0' || C > '9')
-        return false;
-      N = N * 10 + static_cast<size_t>(C - '0');
-    }
-    Out = N;
-    return true;
-  };
-  return Dec(Line.substr(0, Sp), NameLen) &&
-         Dec(Line.substr(Sp + 1), BodyLen);
+  constexpr uint64_t MaxLen = 999'999'999'999;
+  return cli::parseU64(Line.substr(0, Sp), NameLen, MaxLen) &&
+         cli::parseU64(Line.substr(Sp + 1), BodyLen, MaxLen);
 }
 
 } // namespace
 
 std::string Journal::encodeRecord(const Record &R) {
-  std::string Header = "edit " + std::to_string(R.ProcName.size()) + " " +
-                       std::to_string(R.Body.size()) + "\n";
-  std::string Covered = Header + R.ProcName + R.Body;
-  std::string Out = std::move(Covered);
-  Out.append(TrailerTag);
-  Out += hex8(crc32(Out.data(), Out.size() - TrailerTag.size()));
-  Out += '\n';
+  std::string Out = "edit " + std::to_string(R.ProcName.size()) + " " +
+                    std::to_string(R.Body.size()) + "\n" + R.ProcName +
+                    R.Body;
+  Out += crcTrailer(Out);
   return Out;
 }
 
@@ -154,23 +141,16 @@ std::vector<Journal::Record> Journal::replayAndRepair() const {
     size_t Eol = T.find('\n', Pos);
     if (Eol == std::string_view::npos)
       break; // header line torn mid-write
-    size_t NameLen = 0, BodyLen = 0;
+    uint64_t NameLen = 0, BodyLen = 0;
     if (!parseRecordHeader(T.substr(Pos, Eol - Pos), NameLen, BodyLen))
       break;
     size_t PayloadBegin = Eol + 1;
     size_t TrailerBegin = PayloadBegin + NameLen + BodyLen;
-    size_t RecordEnd = TrailerBegin + TrailerTag.size() + 8 + 1;
+    size_t RecordEnd = TrailerBegin + CrcTrailerSize;
     if (RecordEnd > T.size())
       break; // payload or trailer torn
-    if (T.substr(TrailerBegin, TrailerTag.size()) != TrailerTag ||
-        T[RecordEnd - 1] != '\n')
-      break;
-    uint32_t Stored = 0;
-    if (!parseHex8(T.substr(TrailerBegin + TrailerTag.size(), 8), Stored))
-      break;
-    uint32_t Computed =
-        crc32(T.data() + Pos, TrailerBegin - Pos);
-    if (Computed != Stored)
+    if (!checkCrcTrailer(T.substr(TrailerBegin, CrcTrailerSize),
+                         T.substr(Pos, TrailerBegin - Pos)))
       break; // bit rot or a torn rewrite: stop at the last good record
     Record R;
     R.ProcName = std::string(T.substr(PayloadBegin, NameLen));

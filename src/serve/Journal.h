@@ -22,8 +22,9 @@
 ///   ...
 ///
 /// Each record's CRC covers its header line, the procedure name, and the
-/// body — the ckpt-v2 trailer framing of Store.h applied per record, so
-/// a reader can stop at the first record whose frame does not validate.
+/// body — the trailer of the shared frame codec (support/Frame.h)
+/// applied per record, so a reader can stop at the first record whose
+/// frame does not validate.
 /// A torn or corrupt *trailing* record is exactly what a kill mid-append
 /// leaves behind; replay truncates it off and keeps everything before it
 /// (truncate-don't-fail). A file whose magic line is wrong is a

@@ -17,11 +17,10 @@
 
 #include "ir/Dumper.h"
 #include "support/AtomicFile.h"
+#include "support/Frame.h"
 #include "support/Hashing.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <sstream>
 
 using namespace swift;
 using namespace swift::serve;
@@ -326,6 +325,9 @@ TsAbstractState readState(TokenReader &R, Program &Prog) {
   uint64_t T = R.num();
   ApSet Must = readApSet(R, Prog);
   ApSet MustNot = readApSet(R, Prog);
+  for (const AccessPath &P : Must)
+    if (MustNot.contains(P))
+      fail("must and must-not sets overlap");
   return TsAbstractState(static_cast<SiteId>(Site), static_cast<TState>(T),
                          std::move(Must), std::move(MustNot));
 }
@@ -352,6 +354,14 @@ TsRelation readRel(TokenReader &R, Program &Prog) {
   ApSet GenN = readApSet(R, Prog);
   R.expect("phi");
   TsPred Phi = readPred(R, Prog);
+  // makeTrans requires each generated path to be killed on the other
+  // side; every stored relation satisfies this, a corrupted one may not.
+  for (const AccessPath &P : GenA)
+    if (!KillN.kills(P))
+      fail("gena path not protected by killn");
+  for (const AccessPath &P : GenN)
+    if (!KillA.kills(P))
+      fail("genn path not protected by killa");
   return TsRelation::makeTrans(std::move(Iota), std::move(KillA),
                                std::move(GenA), std::move(KillN),
                                std::move(GenN), std::move(Phi));
@@ -435,35 +445,8 @@ TsSummary serve::parseSummaryText(Program &Prog, std::string_view Text) {
 namespace {
 
 constexpr std::string_view StoreHeader = "swift-serve-store v1 ";
-constexpr std::string_view TrailerTag = "crc32 ";
-constexpr size_t TrailerSize = TrailerTag.size() + 8 + 1;
 constexpr std::string_view ProgramBegin = "program-begin";
 constexpr std::string_view ProgramEnd = "program-end";
-
-std::string hex16(uint64_t V) {
-  char Buf[17];
-  std::snprintf(Buf, sizeof(Buf), "%016llx",
-                static_cast<unsigned long long>(V));
-  return Buf;
-}
-
-bool parseHexU(std::string_view T, uint64_t &Out) {
-  if (T.empty() || T.size() > 16)
-    return false;
-  uint64_t V = 0;
-  for (char C : T) {
-    uint64_t D;
-    if (C >= '0' && C <= '9')
-      D = static_cast<uint64_t>(C - '0');
-    else if (C >= 'a' && C <= 'f')
-      D = static_cast<uint64_t>(C - 'a') + 10;
-    else
-      return false;
-    V = (V << 4) | D;
-  }
-  Out = V;
-  return true;
-}
 
 } // namespace
 
@@ -497,123 +480,25 @@ std::string serve::encodeStore(const Program &Prog,
       Payload += Sum;
     }
   }
-
-  std::string Out;
-  Out.reserve(Payload.size() + 48);
-  Out.append(StoreHeader);
-  Out += std::to_string(Payload.size());
-  Out += '\n';
-  Out += Payload;
-  Out.append(TrailerTag);
-  Out += hex8(crc32(Payload.data(), Payload.size()));
-  Out += '\n';
-  return Out;
+  return frame(StoreHeader, Payload);
 }
-
-namespace {
-
-/// Line-oriented reader over the (already CRC-validated) payload.
-class LineReader {
-public:
-  explicit LineReader(std::string_view Text) : T(Text) {}
-
-  std::string_view line() {
-    if (Pos >= T.size())
-      fail("unexpected end of store payload");
-    size_t Eol = T.find('\n', Pos);
-    if (Eol == std::string_view::npos)
-      fail("unterminated line in store payload");
-    std::string_view L = T.substr(Pos, Eol - Pos);
-    Pos = Eol + 1;
-    return L;
-  }
-
-  std::string_view bytes(size_t N) {
-    if (N > T.size() - Pos)
-      fail("store payload section truncated");
-    std::string_view B = T.substr(Pos, N);
-    Pos += N;
-    return B;
-  }
-
-  bool atEnd() const { return Pos == T.size(); }
-
-private:
-  std::string_view T;
-  size_t Pos = 0;
-};
-
-uint64_t parseDec(std::string_view V) {
-  uint64_t N = 0;
-  if (V.empty())
-    fail("empty decimal field");
-  for (char C : V) {
-    if (C < '0' || C > '9')
-      fail("malformed decimal field '" + std::string(V) + "'");
-    if (N > UINT64_MAX / 10)
-      fail("decimal field out of range");
-    N = N * 10 + static_cast<uint64_t>(C - '0');
-  }
-  return N;
-}
-
-/// Splits a line into whitespace-separated fields.
-std::vector<std::string_view> fields(std::string_view L) {
-  std::vector<std::string_view> Out;
-  size_t I = 0;
-  while (I < L.size()) {
-    while (I < L.size() && L[I] == ' ')
-      ++I;
-    size_t Start = I;
-    while (I < L.size() && L[I] != ' ')
-      ++I;
-    if (I > Start)
-      Out.push_back(L.substr(Start, I - Start));
-  }
-  return Out;
-}
-
-} // namespace
 
 ParsedStore serve::decodeStore(std::string_view Bytes) {
-  if (Bytes.substr(0, StoreHeader.size()) != StoreHeader)
-    fail("missing store magic");
-  size_t Eol = Bytes.find('\n');
-  if (Eol == std::string_view::npos)
-    fail("header line is cut short");
-  uint64_t Len = parseDec(Bytes.substr(StoreHeader.size(),
-                                       Eol - StoreHeader.size()));
-  size_t Body = Eol + 1;
-  if (Len > Bytes.size() - Body)
-    fail("payload truncated: header declares " + std::to_string(Len) +
-         " bytes, " + std::to_string(Bytes.size() - Body) + " present");
-  std::string_view Payload = Bytes.substr(Body, Len);
-  std::string_view Rest = Bytes.substr(Body + Len);
-  if (Rest.size() < TrailerSize)
-    fail("CRC trailer is missing or cut");
-  if (Rest.size() > TrailerSize)
-    fail("trailing data after CRC trailer");
-  if (Rest.substr(0, TrailerTag.size()) != TrailerTag || Rest.back() != '\n')
-    fail("malformed CRC trailer");
-  uint32_t Stored = 0;
-  if (!parseHex8(Rest.substr(TrailerTag.size(), 8), Stored))
-    fail("malformed CRC value");
-  uint32_t Computed = crc32(Payload.data(), Payload.size());
-  if (Computed != Stored)
-    fail("CRC mismatch: stored " + hex8(Stored) + ", computed " +
-         hex8(Computed));
+  Unframed U = unframe(StoreHeader, Bytes);
+  if (U.Status != FrameStatus::Ok)
+    fail(U.Reason);
 
-  LineReader R(Payload);
-  std::vector<std::string_view> F = fields(R.line());
+  FrameCursor<StoreError> R(U.Payload, "swift-serve-store: ");
+  std::vector<std::string_view> F = R.fields();
   if (F.size() != 2 || F[0] != "tracked")
     fail("malformed tracked-class line");
   ParsedStore PS;
   PS.TrackedClass = std::string(F[1]);
 
-  F = fields(R.line());
+  F = R.fields();
   if (F.size() != 2 || F[0] != ProgramBegin)
     fail("malformed program-begin line");
-  std::string_view ProgText = R.bytes(parseDec(F[1]));
+  std::string_view ProgText = R.bytes(R.dec(F[1]));
   if (R.line() != ProgramEnd)
     fail("malformed program-end line");
   try {
@@ -622,42 +507,39 @@ ParsedStore serve::decodeStore(std::string_view Bytes) {
     fail(std::string("embedded program does not parse: ") + E.what());
   }
 
-  F = fields(R.line());
+  F = R.fields();
   if (F.size() != 2 || F[0] != "procs")
     fail("malformed procs line");
-  uint64_t NumProcs = parseDec(F[1]);
+  uint64_t NumProcs = R.dec(F[1]);
   if (NumProcs != PS.Prog->numProcs())
     fail("store lists " + std::to_string(NumProcs) +
          " procedures, embedded program has " +
          std::to_string(PS.Prog->numProcs()));
   for (uint64_t I = 0; I != NumProcs; ++I) {
-    F = fields(R.line());
-    if (F.size() < 9 || F[0] != "proc" || F[2] != "hash" || F[4] != "fp" ||
+    F = R.fields();
+    if (F.size() < 10 || F[0] != "proc" || F[2] != "hash" || F[4] != "fp" ||
         F[6] != "valid" || F[8] != "deps")
       fail("malformed proc line");
     StoredProc P;
     P.Name = std::string(F[1]);
-    if (!parseHexU(F[3], P.BodyHash) || !parseHexU(F[5], P.OracleFp))
+    if (!parseHex16(F[3], P.BodyHash) || !parseHex16(F[5], P.OracleFp))
       fail("malformed proc hash field");
-    uint64_t Valid = parseDec(F[7]);
+    uint64_t Valid = R.dec(F[7]);
     if (Valid > 1)
       fail("malformed valid flag");
     P.HasSummary = Valid != 0;
-    if (F.size() < 10)
-      fail("malformed proc line (missing dep count)");
-    uint64_t ND = parseDec(F[9]);
-    if (F.size() != 10 + ND)
+    uint64_t ND = R.dec(F[9]);
+    if (F.size() - 10 != ND)
       fail("proc line dep count does not match fields");
     for (uint64_t D = 0; D != ND; ++D)
       P.Deps.emplace_back(F[10 + D]);
     if (PS.Prog->procId(PS.Prog->symbols().intern(P.Name)) == InvalidProc)
       fail("store names unknown procedure '" + P.Name + "'");
     if (P.HasSummary) {
-      std::vector<std::string_view> SF = fields(R.line());
-      if (SF.size() != 2 || SF[0] != "summary")
+      F = R.fields();
+      if (F.size() != 2 || F[0] != "summary")
         fail("malformed summary header line");
-      std::string_view SumText = R.bytes(parseDec(SF[1]));
-      P.Sum = parseSummaryText(*PS.Prog, SumText);
+      P.Sum = parseSummaryText(*PS.Prog, R.bytes(R.dec(F[1])));
     }
     PS.Procs.push_back(std::move(P));
   }

@@ -21,8 +21,9 @@
 /// parser's dense-site-id invariant pins every site id across any edit
 /// that parses.
 ///
-/// The file framing mirrors the PR 3/4 checkpoint ("swift-serve-store v1 "
-/// + decimal payload length + payload + crc32 trailer) and goes to disk
+/// The file is framed by the shared codec of support/Frame.h
+/// ("swift-serve-store v1 " + decimal payload length + payload + crc32
+/// trailer, the same frame as a swift-ckpt v2 checkpoint) and goes to disk
 /// through writeFileAtomic with failpoint prefix "serve.save", so the
 /// crashtest kill campaign covers the store the same way it covers
 /// checkpoints: the survivor of a mid-save crash is always a complete,

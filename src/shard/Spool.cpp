@@ -8,11 +8,8 @@
 
 #include "ir/Dumper.h"
 #include "support/AtomicFile.h"
+#include "support/Frame.h"
 #include "support/Hashing.h"
-
-#include <cinttypes>
-#include <cstdio>
-#include <unistd.h>
 
 using namespace swift;
 using namespace swift::shard;
@@ -20,87 +17,6 @@ using namespace swift::shard;
 namespace {
 
 constexpr std::string_view Magic = "swift-spool v1 ";
-
-std::string hex16(uint64_t V) {
-  char Buf[17];
-  std::snprintf(Buf, sizeof(Buf), "%016" PRIx64, V);
-  return Buf;
-}
-
-[[noreturn]] void bad(const std::string &Why) { throw SpoolError(Why); }
-
-/// Sequential reader over the payload with line/byte primitives; every
-/// primitive validates and throws SpoolError on malformed input.
-struct Reader {
-  std::string_view Text;
-  size_t Pos = 0;
-
-  std::string_view line() {
-    size_t Nl = Text.find('\n', Pos);
-    if (Nl == std::string_view::npos)
-      bad("spool segment truncated: missing newline");
-    std::string_view L = Text.substr(Pos, Nl - Pos);
-    Pos = Nl + 1;
-    return L;
-  }
-
-  std::string_view bytes(size_t N) {
-    if (Text.size() - Pos < N)
-      bad("spool segment truncated: short byte run");
-    std::string_view B = Text.substr(Pos, N);
-    Pos += N;
-    return B;
-  }
-
-  bool atEnd() const { return Pos == Text.size(); }
-};
-
-uint64_t parseDec(std::string_view T, const char *What) {
-  if (T.empty())
-    bad(std::string("spool segment: empty ") + What);
-  uint64_t V = 0;
-  for (char C : T) {
-    if (C < '0' || C > '9')
-      bad(std::string("spool segment: malformed ") + What);
-    if (V > UINT64_MAX / 10)
-      bad(std::string("spool segment: ") + What + " out of range");
-    V = V * 10 + static_cast<uint64_t>(C - '0');
-  }
-  return V;
-}
-
-uint64_t parseHex(std::string_view T, const char *What) {
-  if (T.empty() || T.size() > 16)
-    bad(std::string("spool segment: malformed ") + What);
-  uint64_t V = 0;
-  for (char C : T) {
-    int D;
-    if (C >= '0' && C <= '9')
-      D = C - '0';
-    else if (C >= 'a' && C <= 'f')
-      D = C - 'a' + 10;
-    else
-      bad(std::string("spool segment: malformed ") + What);
-    V = V * 16 + static_cast<uint64_t>(D);
-  }
-  return V;
-}
-
-/// Splits \p L at single spaces into exactly \p N fields.
-std::vector<std::string_view> fields(std::string_view L, size_t N,
-                                     const char *What) {
-  std::vector<std::string_view> F;
-  size_t Pos = 0;
-  while (F.size() + 1 < N) {
-    size_t Sp = L.find(' ', Pos);
-    if (Sp == std::string_view::npos)
-      bad(std::string("spool segment: malformed ") + What + " line");
-    F.push_back(L.substr(Pos, Sp - Pos));
-    Pos = Sp + 1;
-  }
-  F.push_back(L.substr(Pos));
-  return F;
-}
 
 } // namespace
 
@@ -140,59 +56,38 @@ std::string shard::encodeSegment(const Segment &S) {
          "\n";
     P += Pr.SummaryText;
   }
-  std::string Out;
-  Out += Magic;
-  Out += std::to_string(P.size());
-  Out += '\n';
-  Out += P;
-  Out += "crc32 " + hex8(crc32(P.data(), P.size())) + "\n";
-  return Out;
+  return frame(Magic, P);
 }
 
 Segment shard::decodeSegment(std::string_view Bytes) {
-  if (Bytes.substr(0, Magic.size()) != Magic)
-    bad("spool segment: bad magic");
-  Reader Frame{Bytes, Magic.size()};
-  uint64_t Len = parseDec(Frame.line(), "payload length");
-  std::string_view Payload = Frame.bytes(Len);
-  std::vector<std::string_view> Trailer =
-      fields(Frame.line(), 2, "crc trailer");
-  if (Trailer[0] != "crc32")
-    bad("spool segment: missing crc trailer");
-  if (!Frame.atEnd())
-    bad("spool segment: trailing bytes after crc");
-  uint32_t Want = 0;
-  if (!parseHex8(Trailer[1], Want))
-    bad("spool segment: malformed crc");
-  if (crc32(Payload.data(), Payload.size()) != Want)
-    bad("spool segment: crc mismatch");
+  Unframed U = unframe(Magic, Bytes);
+  FrameCursor<SpoolError> R(U.Payload, "spool segment: ");
+  if (U.Status != FrameStatus::Ok)
+    R.fail(U.Reason);
 
-  Reader R{Payload, 0};
   Segment S;
-  std::vector<std::string_view> F = fields(R.line(), 2, "prog");
-  if (F[0] != "prog")
-    bad("spool segment: expected prog line");
-  S.ProgHash = parseHex(F[1], "program hash");
-  F = fields(R.line(), 2, "scc");
-  if (F[0] != "scc")
-    bad("spool segment: expected scc line");
-  S.Scc = parseDec(F[1], "scc index");
-  F = fields(R.line(), 2, "procs");
-  if (F[0] != "procs")
-    bad("spool segment: expected procs line");
-  uint64_t N = parseDec(F[1], "proc count");
+  std::vector<std::string_view> F = R.fields();
+  if (F.size() != 2 || F[0] != "prog" || !parseHex16(F[1], S.ProgHash))
+    R.fail("malformed prog line");
+  F = R.fields();
+  if (F.size() != 2 || F[0] != "scc")
+    R.fail("malformed scc line");
+  S.Scc = R.dec(F[1]);
+  F = R.fields();
+  if (F.size() != 2 || F[0] != "procs")
+    R.fail("malformed procs line");
+  uint64_t N = R.dec(F[1]);
   for (uint64_t I = 0; I != N; ++I) {
-    F = fields(R.line(), 3, "proc");
-    if (F[0] != "proc" || F[1].empty())
-      bad("spool segment: expected proc line");
+    F = R.fields();
+    if (F.size() != 3 || F[0] != "proc")
+      R.fail("malformed proc line");
     SegmentProc Pr;
     Pr.Name = std::string(F[1]);
-    Pr.SummaryText =
-        std::string(R.bytes(parseDec(F[2], "summary length")));
+    Pr.SummaryText = std::string(R.bytes(R.dec(F[2])));
     S.Procs.push_back(std::move(Pr));
   }
   if (!R.atEnd())
-    bad("spool segment: trailing payload bytes");
+    R.fail("trailing payload bytes");
   return S;
 }
 

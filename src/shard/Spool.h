@@ -8,11 +8,11 @@
 /// The summary spool: a crash-safe append-only exchange directory through
 /// which sharded workers publish per-SCC relational summaries. One file
 /// per SCC ("seg-<scc>.spool"), written via writeFileAtomic under the
-/// "spool.save" failpoint prefix, framed exactly like the swift-ckpt v2 /
-/// serve-store files ("swift-spool v1 " + decimal payload length +
-/// payload + "crc32 " hex trailer) so a reader never observes a torn
-/// segment: after a worker dies at any instruction, each segment is
-/// either absent or a complete, CRC-valid publication.
+/// "spool.save" failpoint prefix, in the shared frame of support/Frame.h
+/// that checkpoints and the serve store use ("swift-spool v1 " + decimal
+/// payload length + payload + "crc32 " hex trailer) so a reader never
+/// observes a torn segment: after a worker dies at any instruction, each
+/// segment is either absent or a complete, CRC-valid publication.
 ///
 /// The spool is a CACHE, never a source of truth — the same contract as
 /// the serve store. Every segment embeds the 64-bit hash of (program

@@ -68,31 +68,54 @@ inline uint32_t crc32(const void *Data, size_t Size, uint32_t Seed = 0) {
 }
 
 /// A CRC-32 as written in the `crc32 <hex8>` trailer every CRC-framed
-/// file format ends its records with: exactly 8 lowercase hex digits.
+/// record ends with (support/Frame.h): exactly 8 lowercase hex digits.
 inline std::string hex8(uint32_t V) {
   char Buf[9];
   std::snprintf(Buf, sizeof(Buf), "%08x", V);
   return Buf;
 }
 
-/// The strict inverse of hex8: accepts exactly 8 lowercase hex digits,
-/// so a padded, cut, or upper-cased trailer value is malformed.
-inline bool parseHex8(std::string_view T, uint32_t &Out) {
-  if (T.size() != 8)
+/// A 64-bit hash as persisted records spell it (store procedure hashes,
+/// spool program hashes): exactly 16 lowercase hex digits.
+inline std::string hex16(uint64_t V) {
+  char Buf[17];
+  std::snprintf(Buf, sizeof(Buf), "%016llx",
+                static_cast<unsigned long long>(V));
+  return Buf;
+}
+
+/// Parses exactly \p Digits lowercase hex digits (Digits <= 16).
+inline bool parseHexExact(std::string_view T, size_t Digits, uint64_t &Out) {
+  if (T.size() != Digits)
     return false;
-  uint32_t V = 0;
+  uint64_t V = 0;
   for (char C : T) {
-    uint32_t D;
+    uint64_t D;
     if (C >= '0' && C <= '9')
-      D = static_cast<uint32_t>(C - '0');
+      D = static_cast<uint64_t>(C - '0');
     else if (C >= 'a' && C <= 'f')
-      D = static_cast<uint32_t>(C - 'a') + 10;
+      D = static_cast<uint64_t>(C - 'a') + 10;
     else
       return false;
     V = (V << 4) | D;
   }
   Out = V;
   return true;
+}
+
+/// The strict inverse of hex8: accepts exactly 8 lowercase hex digits,
+/// so a padded, cut, or upper-cased trailer value is malformed.
+inline bool parseHex8(std::string_view T, uint32_t &Out) {
+  uint64_t V = 0;
+  if (!parseHexExact(T, 8, V))
+    return false;
+  Out = static_cast<uint32_t>(V);
+  return true;
+}
+
+/// The strict inverse of hex16: exactly 16 lowercase hex digits.
+inline bool parseHex16(std::string_view T, uint64_t &Out) {
+  return parseHexExact(T, 16, Out);
 }
 
 } // namespace swift

@@ -328,4 +328,16 @@ TEST(BenchDiffTest, FormatDiffSummarizesVerdict) {
   EXPECT_NE(formatDiff(Bad, O).find("REGRESSION"), std::string::npos);
 }
 
+TEST(BenchDiffTest, FormatDiffPrintsCountsExactly) {
+  // A one-step change on a million-step row must be readable in the
+  // report; six-significant-digit %g would print both sides the same.
+  DiffOptions O;
+  std::string Text = formatDiff(diffReports(oneRowReport(0.25, 1299860.0),
+                                            oneRowReport(0.5, 1299861.0), O),
+                                O);
+  EXPECT_NE(Text.find("1299860 -> 1299861"), std::string::npos) << Text;
+  // Fractional values keep their %g rendering.
+  EXPECT_NE(Text.find("0.25 -> 0.5"), std::string::npos) << Text;
+}
+
 } // namespace

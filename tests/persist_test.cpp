@@ -15,14 +15,24 @@
 /// persistent faults surfaced with the old file intact), and the parser
 /// count-sanity limits that make absurd section counts fail fast.
 ///
+/// Every persisted format shares one frame codec (support/Frame.h); the
+/// checked-in golden files (tests/corpus/persist/) pin the store, spool
+/// and journal bytes, and a second fuzz loop mutates each format's
+/// payload *inside* a valid frame, so the payload parsers themselves
+/// are exercised rather than the CRC check in front of them.
+///
 //===----------------------------------------------------------------------===//
 
 #include "framework/Tabulation.h"
 #include "genprog/Fuzzer.h"
 #include "govern/Checkpoint.h"
 #include "ir/Dumper.h"
+#include "serve/Journal.h"
+#include "serve/Store.h"
+#include "shard/Spool.h"
 #include "support/AtomicFile.h"
 #include "support/FailPoint.h"
+#include "support/Frame.h"
 #include "support/Hashing.h"
 #include "support/Rng.h"
 #include "typestate/Runner.h"
@@ -317,6 +327,297 @@ TEST(PersistCorpusTest, ReplaysEveryCheckedInCheckpoint) {
       EXPECT_EQ(E.kind(), Want) << E.what();
     }
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Golden bytes of every framed format
+//===----------------------------------------------------------------------===//
+
+constexpr std::string_view StoreTag = "swift-serve-store v1 ";
+constexpr std::string_view SpoolTag = "swift-spool v1 ";
+
+std::string corpusBytes(const std::string &Rel) {
+  return readWholeFile(std::string(SWIFT_CORPUS_DIR) + "/" + Rel);
+}
+
+/// The payload of a valid frame image.
+std::string payloadOf(std::string_view Tag, const std::string &Image) {
+  Unframed U = unframe(Tag, Image);
+  EXPECT_EQ(U.Status, FrameStatus::Ok) << U.Reason;
+  return std::string(U.Payload);
+}
+
+TEST(PersistGoldenTest, CheckpointFrameReproducesTheCorpusFile) {
+  std::string Image = corpusBytes("good-v2.swiftckpt");
+  EXPECT_EQ(frameCheckpointV2(payloadOf("swift-ckpt v2 ", Image)), Image);
+}
+
+TEST(PersistGoldenTest, StoreDecodesAndReencodesIdentically) {
+  std::string Bytes = corpusBytes("persist/golden.swiftstore");
+  serve::ParsedStore PS = serve::decodeStore(Bytes);
+  ASSERT_EQ(PS.Procs.size(), 4u);
+  EXPECT_EQ(serve::encodeStore(*PS.Prog, PS.TrackedClass, PS.Procs), Bytes);
+}
+
+TEST(PersistGoldenTest, SpoolSegmentDecodesAndReencodesIdentically) {
+  std::string Bytes = corpusBytes("persist/golden-seg-3.spool");
+  shard::Segment S = shard::decodeSegment(Bytes);
+  EXPECT_EQ(S.Scc, 3u);
+  ASSERT_EQ(S.Procs.size(), 2u);
+  EXPECT_EQ(S.Procs[0].Name, "h");
+  EXPECT_EQ(shard::encodeSegment(S), Bytes);
+  // The program hash binds the segment to the golden store's program.
+  serve::ParsedStore PS =
+      serve::decodeStore(corpusBytes("persist/golden.swiftstore"));
+  EXPECT_EQ(S.ProgHash, shard::programSpoolHash(*PS.Prog, PS.TrackedClass));
+}
+
+TEST_F(PersistTest, JournalReplaysAndReencodesIdentically) {
+  std::string Bytes = corpusBytes("persist/golden.swiftjournal");
+  std::string P = path("golden.swiftjournal"); // replay may repair: copy
+  writeFileAtomic(P, Bytes);
+  std::vector<serve::Journal::Record> R = serve::Journal(P).replayAndRepair();
+  ASSERT_EQ(R.size(), 2u);
+  EXPECT_EQ(R[0].ProcName, "g");
+  EXPECT_EQ(R[1].ProcName, "h");
+  EXPECT_EQ(std::string(serve::Journal::Magic) +
+                serve::Journal::encodeRecord(R[0]) +
+                serve::Journal::encodeRecord(R[1]),
+            Bytes);
+  EXPECT_EQ(readWholeFile(P), Bytes);
+}
+
+//===----------------------------------------------------------------------===//
+// Strict 16-digit hash fields
+//===----------------------------------------------------------------------===//
+
+/// Re-frames \p Image under \p Tag with the first \p From in its payload
+/// replaced by \p To, so the CRC is valid and only the payload parser
+/// can object.
+std::string reframeWith(std::string_view Tag, const std::string &Image,
+                        const std::string &From, const std::string &To) {
+  std::string Payload = payloadOf(Tag, Image);
+  size_t At = Payload.find(From);
+  EXPECT_NE(At, std::string::npos) << From;
+  return frame(Tag, Payload.replace(At, From.size(), To));
+}
+
+TEST(PersistHardeningTest, HashFieldsAreExactlySixteenHexDigits) {
+  std::string Store = corpusBytes("persist/golden.swiftstore");
+  std::string Payload = payloadOf(StoreTag, Store);
+  size_t At = Payload.find(" hash ");
+  ASSERT_NE(At, std::string::npos);
+  std::string Hash = Payload.substr(At + 6, 16);
+  ASSERT_NO_THROW(
+      (void)serve::decodeStore(reframeWith(StoreTag, Store, Hash, Hash)));
+  for (const std::string &Bad : {Hash.substr(1), "0" + Hash})
+    EXPECT_THROW(
+        (void)serve::decodeStore(reframeWith(StoreTag, Store, Hash, Bad)),
+        serve::StoreError)
+        << "store hash field '" << Bad << "' accepted";
+
+  std::string Seg = corpusBytes("persist/golden-seg-3.spool");
+  std::string Prog = payloadOf(SpoolTag, Seg).substr(5, 16); // "prog <hex>"
+  for (const std::string &Bad : {Prog.substr(1), "0" + Prog})
+    EXPECT_THROW((void)shard::decodeSegment(
+                     reframeWith(SpoolTag, Seg, "prog " + Prog, "prog " + Bad)),
+                 shard::SpoolError)
+        << "spool prog field '" << Bad << "' accepted";
+}
+
+TEST(PersistHardeningTest, SignedNumbersAreCorrupt) {
+  // Checkpoint numbers are bare digit runs: "-1" must not wrap to 2^64-1.
+  const std::string &Payload = fixture().Payload;
+  size_t At = Payload.find("\nsteps ");
+  ASSERT_NE(At, std::string::npos);
+  size_t NumAt = At + 7;
+  size_t LineEnd = Payload.find('\n', NumAt);
+  for (const char *Bad : {"-1", "+5"}) {
+    std::string Mut =
+        Payload.substr(0, NumAt) + Bad + Payload.substr(LineEnd);
+    EXPECT_EQ(kindOf(frameCheckpointV2(Mut)), LoadErrorKind::Corrupt) << Bad;
+  }
+}
+
+TEST(PersistHardeningTest, BrokenStateAndRelationInvariantsAreTypedErrors) {
+  // Payloads whose states or relations break the typestate constructors'
+  // invariants must be rejected by the parser, not reach (and abort in)
+  // the constructors.
+  // Checkpoint: the first non-Lambda row "s <site> <state> ..." gets the
+  // must set {v} and the must-not set {v}.
+  const std::string &Payload = fixture().Payload;
+  size_t Row = Payload.find("\ns ");
+  while (Row != std::string::npos && Payload.compare(Row, 5, "\ns L\n") == 0)
+    Row = Payload.find("\ns ", Row + 1);
+  ASSERT_NE(Row, std::string::npos);
+  size_t NameEnd = Payload.find(' ', Payload.find(' ', Row + 3) + 1);
+  std::string Overlap = Payload.substr(0, NameEnd) + " 1 v 1 v" +
+                        Payload.substr(Payload.find('\n', Row + 1));
+  EXPECT_EQ(kindOf(frameCheckpointV2(Overlap)), LoadErrorKind::Corrupt);
+
+  // Store: an alloc state of proc f with the same overlap, and a relation
+  // of f whose generated must-not path is not killed on the must side.
+  serve::ParsedStore PS =
+      serve::decodeStore(corpusBytes("persist/golden.swiftstore"));
+  ASSERT_EQ(PS.Procs[1].Name, "f");
+  std::string Text = serve::summaryToText(*PS.Prog, PS.Procs[1].Sum);
+  for (auto [From, To] :
+       {std::pair<std::string, std::string>{"A 0 1 1 v 0", "A 0 1 1 v 1 v"},
+        {"killa kb 1 v kd", "killa kb 0 kd"}}) {
+    std::string Mut = Text;
+    size_t At = Mut.find(From);
+    ASSERT_NE(At, std::string::npos) << From;
+    Mut.replace(At, From.size(), To);
+    EXPECT_THROW((void)serve::parseSummaryText(*PS.Prog, Mut),
+                 serve::StoreError)
+        << To;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Mutation fuzz past the CRC, every format
+//===----------------------------------------------------------------------===//
+
+/// One payload mutation: a bit flip, a cut-out section, or a duplicated
+/// or dropped line. Counts which mutator ran in \p Ran.
+std::string mutatePayload(std::string P, Rng &R, unsigned (&Ran)[4]) {
+  if (P.empty())
+    return P;
+  auto lineAt = [&P](size_t I) {
+    size_t Begin = P.rfind('\n', I == 0 ? 0 : I - 1);
+    Begin = (Begin == std::string::npos || I == 0) ? 0 : Begin + 1;
+    size_t End = P.find('\n', I);
+    End = End == std::string::npos ? P.size() : End + 1;
+    return std::make_pair(Begin, End);
+  };
+  unsigned Op = static_cast<unsigned>(R.below(4));
+  ++Ran[Op];
+  size_t I = R.below(P.size());
+  switch (Op) {
+  case 0:
+    P[I] = static_cast<char>(P[I] ^ (1u << R.below(8)));
+    break;
+  case 1:
+    P.erase(I, 1 + R.below(64));
+    break;
+  case 2: {
+    auto [Begin, End] = lineAt(I);
+    P.insert(End, P.substr(Begin, End - Begin));
+    break;
+  }
+  default: {
+    auto [Begin, End] = lineAt(I);
+    P.erase(Begin, End - Begin);
+    break;
+  }
+  }
+  return P;
+}
+
+constexpr uint64_t FuzzSeeds = 200;
+
+void expectEveryMutatorRan(const unsigned (&Ran)[4]) {
+  for (unsigned N : Ran)
+    EXPECT_GT(N, 10u);
+}
+
+TEST(PersistFuzzTest, CheckpointPayloadMutantsAreCorruptOrLoad) {
+  const std::string &Payload = fixture().Payload;
+  unsigned Ran[4] = {}, Rejected = 0;
+  for (uint64_t Seed = 1; Seed <= FuzzSeeds; ++Seed) {
+    Rng R(Seed * 0x9e3779b9u);
+    std::string Image = frameCheckpointV2(mutatePayload(Payload, R, Ran));
+    try {
+      (void)parseCheckpointFile(Image);
+    } catch (const CheckpointLoadError &E) {
+      // The frame is valid, so only the payload parser objected.
+      EXPECT_EQ(E.kind(), LoadErrorKind::Corrupt) << "seed " << Seed;
+      ++Rejected;
+    }
+  }
+  expectEveryMutatorRan(Ran);
+  EXPECT_GT(Rejected, FuzzSeeds / 2);
+}
+
+TEST(PersistFuzzTest, StorePayloadMutantsAreStoreErrorsOrDecode) {
+  std::string Payload =
+      payloadOf(StoreTag, corpusBytes("persist/golden.swiftstore"));
+  unsigned Ran[4] = {}, Rejected = 0;
+  for (uint64_t Seed = 1; Seed <= FuzzSeeds; ++Seed) {
+    Rng R(Seed * 0x9e3779b9u);
+    std::string Image = frame(StoreTag, mutatePayload(Payload, R, Ran));
+    try {
+      serve::ParsedStore PS = serve::decodeStore(Image);
+      (void)serve::encodeStore(*PS.Prog, PS.TrackedClass, PS.Procs);
+    } catch (const serve::StoreError &) {
+      ++Rejected;
+    }
+  }
+  expectEveryMutatorRan(Ran);
+  EXPECT_GT(Rejected, FuzzSeeds / 2);
+}
+
+TEST(PersistFuzzTest, SpoolPayloadMutantsAreSpoolErrorsOrDecode) {
+  std::string Payload =
+      payloadOf(SpoolTag, corpusBytes("persist/golden-seg-3.spool"));
+  unsigned Ran[4] = {}, Rejected = 0;
+  for (uint64_t Seed = 1; Seed <= FuzzSeeds; ++Seed) {
+    Rng R(Seed * 0x9e3779b9u);
+    std::string Image = frame(SpoolTag, mutatePayload(Payload, R, Ran));
+    try {
+      shard::Segment S = shard::decodeSegment(Image);
+      EXPECT_EQ(shard::encodeSegment(S), Image) << "seed " << Seed;
+    } catch (const shard::SpoolError &) {
+      ++Rejected;
+    }
+  }
+  expectEveryMutatorRan(Ran);
+  EXPECT_GT(Rejected, FuzzSeeds / 4);
+}
+
+TEST_F(PersistTest, JournalRecordMutantsReplayAPrefix) {
+  // Three records, one of them mutated inside its header/name/body and
+  // re-sealed with a valid CRC. Replay must keep every record before the
+  // mutant, stop at an invalid frame, and cut the file to a byte prefix.
+  using serve::Journal;
+  std::vector<Journal::Record> Recs = {
+      {"g", "proc g() entry 0 exit 1 nodes 2 {\n  0: nop -> 1\n}\n"},
+      {"h", "body\nwith lines\n"},
+      {"main", "proc main() {\n}\n"}};
+  std::string P = path("fuzz.swiftjournal");
+  unsigned Ran[4] = {}, Cut = 0;
+  for (uint64_t Seed = 1; Seed <= FuzzSeeds; ++Seed) {
+    Rng R(Seed * 0x9e3779b9u);
+    size_t Victim = R.below(Recs.size());
+    std::string Bytes(Journal::Magic);
+    for (size_t I = 0; I != Recs.size(); ++I) {
+      std::string Rec = Journal::encodeRecord(Recs[I]);
+      if (I == Victim) {
+        std::string Covered = mutatePayload(
+            Rec.substr(0, Rec.size() - CrcTrailerSize), R, Ran);
+        Rec = Covered + crcTrailer(Covered);
+      }
+      Bytes += Rec;
+    }
+    writeFileAtomic(P, Bytes);
+    std::vector<Journal::Record> Got = Journal(P).replayAndRepair();
+    ASSERT_GE(Got.size(), Victim) << "seed " << Seed;
+    ASSERT_LE(Got.size(), Recs.size()) << "seed " << Seed;
+    for (size_t I = 0; I != Got.size(); ++I) {
+      if (I == Victim)
+        continue; // the mutant itself may still be a well-formed record
+      EXPECT_EQ(Got[I].ProcName, Recs[I].ProcName) << "seed " << Seed;
+      EXPECT_EQ(Got[I].Body, Recs[I].Body) << "seed " << Seed;
+    }
+    std::string After = readWholeFile(P);
+    EXPECT_EQ(Bytes.compare(0, After.size(), After), 0)
+        << "seed " << Seed << ": repair is not a byte prefix";
+    Cut += After.size() < Bytes.size();
+    EXPECT_EQ(Journal(P).replayAndRepair().size(), Got.size())
+        << "seed " << Seed << ": repair is not idempotent";
+  }
+  expectEveryMutatorRan(Ran);
+  EXPECT_GT(Cut, FuzzSeeds / 4);
 }
 
 //===----------------------------------------------------------------------===//
