@@ -62,7 +62,7 @@ using Site = std::pair<ProcId, NodeId>;
 template <typename AN, typename ReportSiteFn, typename FactStrFn>
 DomainRunResult runTabulatingT(const typename AN::Context &Ctx, uint64_t K,
                                uint64_t Theta, unsigned Threads,
-                               DomainRunLimits Limits, ReportSiteFn RS,
+                               RunLimits Limits, ReportSiteFn RS,
                                FactStrFn FS) {
   const Program &Prog = Ctx.program();
   Budget Bud(Limits.MaxSteps, Limits.MaxSeconds);
@@ -107,7 +107,7 @@ DomainRunResult runTabulatingT(const typename AN::Context &Ctx, uint64_t K,
 /// main, then instantiate main's summary on Lambda.
 template <typename AN, typename ReportSiteFn, typename FactStrFn>
 DomainRunResult runBuT(const typename AN::Context &Ctx, unsigned Threads,
-                       DomainRunLimits Limits, ReportSiteFn RS,
+                       RunLimits Limits, ReportSiteFn RS,
                        FactStrFn FS) {
   const Program &Prog = Ctx.program();
   Budget Bud(Limits.MaxSteps, Limits.MaxSeconds);
@@ -155,7 +155,7 @@ DomainRunResult runBuT(const typename AN::Context &Ctx, unsigned Threads,
 template <typename AN, typename ReportSiteFn, typename FactStrFn>
 DomainRunResult runModeT(const typename AN::Context &Ctx, DomainMode Mode,
                          uint64_t K, uint64_t Theta, unsigned Threads,
-                         DomainRunLimits Limits, ReportSiteFn RS,
+                         RunLimits Limits, ReportSiteFn RS,
                          FactStrFn FS) {
   switch (Mode) {
   case DomainMode::Td:
@@ -195,7 +195,7 @@ DomainRunResult clients::runClientDomain(const std::string &Domain,
                                          const Program &Prog,
                                          DomainMode Mode, uint64_t K,
                                          uint64_t Theta, unsigned Threads,
-                                         DomainRunLimits Limits) {
+                                         RunLimits Limits) {
   if (Domain == "interval") {
     interval::IvContext Ctx(Prog);
     auto RS = [](const interval::IvFact &F) -> std::optional<Site> {

@@ -32,6 +32,7 @@
 
 #include "ir/Program.h"
 #include "support/Stats.h"
+#include "support/Timer.h"
 
 #include <set>
 #include <string>
@@ -43,10 +44,9 @@ namespace clients {
 
 enum class DomainMode { Td, Swift, Bu };
 
-struct DomainRunLimits {
-  uint64_t MaxSteps = UINT64_MAX;
-  double MaxSeconds = 1e18;
-};
+/// The run limits of every domain (support/Timer.h), under the name the
+/// client-domain callers spell.
+using DomainRunLimits = RunLimits;
 
 struct DomainRunResult {
   bool Timeout = false;
@@ -79,7 +79,7 @@ DomainRunResult runClientDomain(const std::string &Domain,
                                 const Program &Prog, DomainMode Mode,
                                 uint64_t K, uint64_t Theta,
                                 unsigned Threads,
-                                DomainRunLimits Limits = {});
+                                RunLimits Limits = {});
 
 } // namespace clients
 } // namespace swift

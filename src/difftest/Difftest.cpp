@@ -56,36 +56,41 @@ std::string swift::difftest::writeReproducer(const std::string &OutDir,
   return Path;
 }
 
-std::unique_ptr<Program>
-swift::difftest::readProgramFile(const std::string &Path) {
+OracleResult swift::difftest::replayFile(const std::string &Path,
+                                         const std::string &Domain,
+                                         const OracleOptions &Opts) {
   std::ifstream IS(Path);
   if (!IS)
     throw std::runtime_error("cannot open '" + Path + "'");
   std::ostringstream Buf;
   Buf << IS.rdbuf();
-  return parseProgramText(Buf.str());
+  return runOracle(Domain, *parseProgramText(Buf.str()), Opts);
 }
 
-OracleResult swift::difftest::replayFile(const std::string &Path,
-                                         const OracleOptions &Opts) {
-  return runOracle(*readProgramFile(Path), Opts);
-}
-
-CampaignResult swift::difftest::runSeedLoop(const SeedLoop &L,
+CampaignResult swift::difftest::runCampaign(const CampaignOptions &Opts,
                                             std::ostream &Log) {
+  // Reducer caps per violating seed: four passes, and 400 typestate or
+  // 200 client-domain oracle runs.
+  constexpr size_t ReduceMaxRounds = 4;
+  const size_t ReduceMaxRuns = Opts.Domain == "typestate" ? 400 : 200;
+  auto Check = [&Opts](const Program &Prog, uint64_t InterpSeed) {
+    OracleOptions OO = Opts.Oracle;
+    OO.InterpSeed = InterpSeed;
+    return runOracle(Opts.Domain, Prog, OO);
+  };
+
   CampaignResult Res;
   Timer Wall;
-
-  for (uint64_t Seed = L.FirstSeed; Seed != L.FirstSeed + L.NumSeeds;
-       ++Seed) {
-    if (Wall.seconds() > L.BudgetSeconds) {
+  for (uint64_t Seed = Opts.FirstSeed;
+       Seed != Opts.FirstSeed + Opts.NumSeeds; ++Seed) {
+    if (Wall.seconds() > Opts.BudgetSeconds) {
       Res.StoppedOnBudget = true;
       break;
     }
     std::unique_ptr<Program> Prog =
         generateFuzzProgram(fuzzConfigForSeed(Seed));
     uint64_t InterpSeed = Seed * 1013 + 1; // decorrelate from the fuzz seed
-    SeedVerdict V = L.Check(*Prog, InterpSeed);
+    OracleResult V = Check(*Prog, InterpSeed);
     ++Res.SeedsRun;
     if (V.ReferenceTimedOut)
       ++Res.ExhaustedSeeds;
@@ -101,17 +106,17 @@ CampaignResult swift::difftest::runSeedLoop(const SeedLoop &L,
         << "] " << Rep.First.Config << ": " << Rep.First.Detail << "\n";
 
     std::string Text;
-    if (L.ReduceViolations) {
+    if (Opts.ReduceViolations) {
       CheckKind Kind = Rep.First.Kind;
       ReduceResult RR = reducePredicate(
           *Prog,
           [&](const Program &Cand) {
-            for (const Violation &C : L.Check(Cand, InterpSeed).Violations)
+            for (const Violation &C : Check(Cand, InterpSeed).Violations)
               if (C.Kind == Kind)
                 return true;
             return false;
           },
-          L.ReduceMaxRounds, L.ReduceMaxRuns);
+          ReduceMaxRounds, ReduceMaxRuns);
       Text = std::move(RR.Text);
       Rep.ReducedProcs = RR.NumProcs;
       Rep.ReducedStmts = RR.NumStmts;
@@ -122,33 +127,14 @@ CampaignResult swift::difftest::runSeedLoop(const SeedLoop &L,
       Rep.ReducedProcs = Prog->numProcs();
     }
 
-    if (!L.OutDir.empty()) {
-      Rep.ReproPath = writeReproducer(L.OutDir, Seed, Rep.First, Text);
+    if (!Opts.OutDir.empty()) {
+      Rep.ReproPath = writeReproducer(Opts.OutDir, Seed, Rep.First, Text);
       if (!Rep.ReproPath.empty())
         Log << "  reproducer: " << Rep.ReproPath << "\n";
       else
-        Log << "  failed to write reproducer under " << L.OutDir << "\n";
+        Log << "  failed to write reproducer under " << Opts.OutDir << "\n";
     }
     Res.BadSeeds.push_back(std::move(Rep));
   }
   return Res;
-}
-
-CampaignResult swift::difftest::runCampaign(const CampaignOptions &Opts,
-                                            std::ostream &Log) {
-  SeedLoop L{.FirstSeed = Opts.FirstSeed,
-             .NumSeeds = Opts.NumSeeds,
-             .BudgetSeconds = Opts.BudgetSeconds,
-             .ReduceViolations = Opts.ReduceViolations,
-             .ReduceMaxRounds = Opts.Reduce.MaxRounds,
-             .ReduceMaxRuns = Opts.Reduce.MaxOracleRuns,
-             .OutDir = Opts.OutDir,
-             .Check = [&Opts](const Program &Prog, uint64_t InterpSeed) {
-               OracleOptions OO = Opts.Oracle;
-               OO.InterpSeed = InterpSeed;
-               OracleResult R = runOracle(Prog, OO);
-               return SeedVerdict{std::move(R.Violations),
-                                  R.ReferenceTimedOut};
-             }};
-  return runSeedLoop(L, Log);
 }

@@ -21,7 +21,6 @@
 #include "difftest/Reducer.h"
 #include "genprog/Fuzzer.h"
 
-#include <functional>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -31,10 +30,11 @@ namespace swift {
 namespace difftest {
 
 struct CampaignOptions {
+  /// "typestate" or a registered client domain (see runOracle).
+  std::string Domain = "typestate";
   uint64_t FirstSeed = 1;
   uint64_t NumSeeds = 50;
   OracleOptions Oracle;
-  ReduceOptions Reduce;
   bool ReduceViolations = true;
   /// Where reproducers are written; created if missing. Empty disables
   /// writing.
@@ -69,36 +69,14 @@ struct CampaignResult {
 /// covers small dense programs and wider call graphs alike.
 FuzzConfig fuzzConfigForSeed(uint64_t Seed);
 
-/// Runs the campaign, logging one line per violating seed to \p Log.
+/// Runs the campaign: per seed it generates the fuzz program and runs
+/// Opts.Domain's oracle with an interpreter seed decorrelated from the
+/// fuzz seed. On a violation it logs one line to \p Log, reduces the
+/// program while the oracle still reports a violation of the first one's
+/// kind, and writes the reproducer under Opts.OutDir. Violation configs
+/// of a client domain begin with its name ("taint/swift/k1/theta2/th4"),
+/// so a reproducer header records which domain to replay it under.
 CampaignResult runCampaign(const CampaignOptions &Opts, std::ostream &Log);
-
-/// One oracle's verdict on one program, as the campaign loop sees it.
-struct SeedVerdict {
-  std::vector<Violation> Violations;
-  bool ReferenceTimedOut = false;
-};
-
-/// The seed loop shared by every campaign (runCampaign and the per-domain
-/// runDomainCampaign); only the oracle differs. Per seed it generates the
-/// fuzz program, calls \p Check with an interpreter seed decorrelated from
-/// the fuzz seed, and on a violation logs it, reduces the program while
-/// \p Check still reports a violation of the first one's kind, and writes
-/// the reproducer under \p OutDir (empty disables writing).
-struct SeedLoop {
-  uint64_t FirstSeed = 1;
-  uint64_t NumSeeds = 0;
-  double BudgetSeconds = 1e18;
-  bool ReduceViolations = true;
-  size_t ReduceMaxRounds = 4;
-  size_t ReduceMaxRuns = 400;
-  std::string OutDir;
-  std::function<SeedVerdict(const Program &, uint64_t InterpSeed)> Check;
-};
-CampaignResult runSeedLoop(const SeedLoop &L, std::ostream &Log);
-
-/// Reads and parses a swift-ir file (a reproducer or any program). Throws
-/// std::runtime_error on unreadable/malformed input.
-std::unique_ptr<Program> readProgramFile(const std::string &Path);
 
 /// Writes a self-contained reproducer (violation header as comments +
 /// swift-ir text) and returns its path; empty string on I/O failure.
@@ -106,9 +84,10 @@ std::string writeReproducer(const std::string &OutDir, uint64_t Seed,
                             const Violation &V,
                             const std::string &ProgramText);
 
-/// Replays a reproducer (or any swift-ir file): parses it and runs the
-/// oracle. Throws std::runtime_error on unreadable/malformed input.
-OracleResult replayFile(const std::string &Path,
+/// Replays a reproducer (or any swift-ir file): parses it and runs
+/// \p Domain's oracle. Throws std::runtime_error on unreadable/malformed
+/// input or an unknown domain.
+OracleResult replayFile(const std::string &Path, const std::string &Domain,
                         const OracleOptions &Opts);
 
 } // namespace difftest

@@ -5,24 +5,30 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The differential-testing oracle: runs the concrete interpreter as
-/// ground truth and the whole analysis-mode matrix (TD, pure BU, SWIFT
-/// sync/async at several (k, theta), thread counts, manifest on/off) on
-/// one program, then checks every relation the paper guarantees:
+/// The differential-testing oracle, one for every analysis domain. For
+/// typestate or any registered client domain it runs the domain's
+/// concrete ground truth (the interpreter, or the client's witness
+/// machine) and the domain's analysis-mode matrix (TD, pure BU, SWIFT at
+/// several (k, theta) and thread counts; typestate adds async and
+/// manifest-off runs), then checks every relation the paper guarantees:
 ///
-///  * Soundness — every allocation site that concretely reaches the error
-///    state is reported by every complete manifest-on run.
-///  * TD coincidence (Theorem 3.1) — SWIFT's error sites and main-exit
-///    states equal TD's at every (k, theta, threads, async).
-///  * Error-point containment — a SWIFT error point is a TD error point
-///    unless it sits at a call command (the observation manifest reports
-///    errors inside summary-served callees at the serving call site).
+///  * Soundness — every concretely reached report is reported: by every
+///    complete manifest-on typestate run, or by the client's TD reference
+///    (whose exit facts must also cover a completed witness run's).
+///  * TD coincidence (Theorem 3.1) — SWIFT's report sites and main-exit
+///    facts equal TD's at every configuration.
 ///  * BU agreement — the unpruned bottom-up analysis, instantiated on the
-///    initial state, matches TD's error sites and main-exit states.
-///  * Manifest-off ablation — value results still coincide; error sites
-///    may only under-approximate TD's, never over-approximate.
+///    initial state, matches TD's report sites and main-exit facts.
 ///  * Thread determinism — synchronous runs differing only in worker
-///    count are identical in every result field.
+///    count agree in report sites and points, exit facts, and
+///    summary/relation counts.
+///
+/// Typestate only, since only its matrix records error points and runs
+/// without the observation manifest, and serve, shard and checkpoint are
+/// typestate-only: error-point containment (a SWIFT error point off a
+/// call node is a TD error point), the manifest-off ablation (values
+/// coincide, report sites only under-approximate), partial soundness,
+/// checkpoint-resume, incremental coincidence and shard invariance.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,9 +36,8 @@
 #define SWIFT_DIFFTEST_ORACLE_H
 
 #include "ir/Program.h"
-#include "typestate/Runner.h"
+#include "support/Timer.h"
 
-#include <set>
 #include <string>
 #include <vector>
 
@@ -76,7 +81,7 @@ const char *checkKindName(CheckKind K);
 /// One oracle failure: which guarantee broke, on which configuration.
 struct Violation {
   CheckKind Kind;
-  std::string Config; ///< runAllConfigs name, e.g. "swift/k1/th2/async".
+  std::string Config; ///< Matrix row, e.g. "swift/k1/th2/async".
   std::string Detail;
 };
 
@@ -84,43 +89,30 @@ struct OracleOptions {
   /// Budget per analysis run. A run that times out is skipped by every
   /// check rather than reported (timeouts are resource facts, not bugs).
   RunLimits Limits{2'000'000, 10.0};
-  /// Concrete interpreter schedules unioned into the ground truth.
+  /// Concrete schedules unioned into the ground truth.
   unsigned Schedules = 8;
   uint64_t InterpSeed = 1;
   uint64_t InterpMaxSteps = 20'000;
-  AllConfigsOptions Configs;
-  /// Typestate class under verification; empty selects the program's
-  /// first spec (fuzz programs declare exactly one, "File").
-  std::string TrackedClass;
-  /// Run the governed partial-soundness checks (budget-limited runs at
-  /// fractions of the reference run's step count).
-  bool CheckPartial = true;
-  /// Run the checkpoint/resume bit-identity check.
-  bool CheckCheckpoint = true;
-  /// Run the incremental-vs-from-scratch edit-replay check.
-  bool CheckIncremental = true;
-  /// Edits replayed per program by the incremental check.
-  unsigned IncrementalEdits = 3;
-  /// Run the shard-count-invariance and forced-degradation checks.
-  bool CheckShard = true;
 };
 
 struct OracleResult {
   std::vector<Violation> Violations;
-  std::set<SiteId> ConcreteErrors;
   unsigned RunsDone = 0;
   unsigned RunsTimedOut = 0;
   /// The TD reference run itself exhausted its budget: the checks needing
-  /// a completed reference (coincidence, partial-soundness,
-  /// checkpoint-resume) were skipped, not failed. Tools report such runs
-  /// with a distinct resource-exhausted exit code.
+  /// a completed reference were skipped, not failed (for a client domain,
+  /// every check). Tools report such runs with a distinct
+  /// resource-exhausted exit code.
   bool ReferenceTimedOut = false;
   bool clean() const { return Violations.empty(); }
 };
 
-/// Runs the full matrix and all checks on \p Prog. Throws
-/// std::runtime_error if the program declares no typestate spec.
-OracleResult runOracle(const Program &Prog, const OracleOptions &Opts);
+/// Runs \p Domain's matrix and all its checks on \p Prog. \p Domain is
+/// "typestate" (which tracks the program's first typestate spec) or a
+/// registered client domain. Throws std::runtime_error for an unknown
+/// domain, or for typestate on a program that declares no spec.
+OracleResult runOracle(const std::string &Domain, const Program &Prog,
+                       const OracleOptions &Opts);
 
 } // namespace difftest
 } // namespace swift

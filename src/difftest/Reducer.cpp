@@ -456,7 +456,7 @@ ReduceResult swift::difftest::reduceViolation(const Program &Prog,
   return reducePredicate(
       Prog,
       [&](const Program &Cand) {
-        OracleResult R = runOracle(Cand, Opts.Oracle);
+        OracleResult R = runOracle("typestate", Cand, Opts.Oracle);
         for (const Violation &V : R.Violations)
           if (V.Kind == Kind)
             return true;

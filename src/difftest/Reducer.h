@@ -48,9 +48,9 @@ struct ReduceResult {
   size_t OracleRuns = 0;
 };
 
-/// Shrinks \p Prog while runOracle keeps reporting a violation of kind
-/// \p Kind. \p Prog itself must exhibit such a violation; if it does not,
-/// the input is returned unreduced.
+/// Shrinks \p Prog while the typestate oracle keeps reporting a violation
+/// of kind \p Kind. \p Prog itself must exhibit such a violation; if it
+/// does not, the input is returned unreduced.
 ReduceResult reduceViolation(const Program &Prog, CheckKind Kind,
                              const ReduceOptions &Opts);
 
@@ -58,9 +58,8 @@ ReduceResult reduceViolation(const Program &Prog, CheckKind Kind,
 /// \p StillFails keeps returning true on the candidate. The predicate is
 /// the expensive part; \p MaxRuns caps its evaluations and \p MaxRounds
 /// the passes over the mutation phases. Candidates that fail to re-parse
-/// or are not CFG-sane are rejected without consuming a run. Used by the
-/// per-domain oracle campaign, whose interestingness test is a domain
-/// check rather than the typestate oracle.
+/// or are not CFG-sane are rejected without consuming a run. Used by
+/// runCampaign, whose interestingness test is its domain's oracle.
 ReduceResult
 reducePredicate(const Program &Prog,
                 const std::function<bool(const Program &)> &StillFails,

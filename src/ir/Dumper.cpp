@@ -7,6 +7,7 @@
 #include "ir/Dumper.h"
 
 #include "support/AtomicFile.h"
+#include "support/CliParse.h"
 
 #include <algorithm>
 #include <cassert>
@@ -261,14 +262,11 @@ private:
 uint32_t ProgramParser::number(const std::string &S) const {
   if (S.empty())
     fail("expected a number");
-  uint64_t V = 0;
-  for (char C : S) {
-    if (C < '0' || C > '9')
-      fail("expected a number, got '" + S + "'");
-    V = V * 10 + static_cast<uint64_t>(C - '0');
-    if (V > UINT32_MAX)
-      fail("number out of range: '" + S + "'");
-  }
+  uint64_t V;
+  if (!cli::parseU64(S, V, UINT32_MAX))
+    fail(S.find_first_not_of("0123456789") == std::string::npos
+             ? "number out of range: '" + S + "'"
+             : "expected a number, got '" + S + "'");
   return static_cast<uint32_t>(V);
 }
 

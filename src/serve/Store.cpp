@@ -17,6 +17,7 @@
 
 #include "ir/Dumper.h"
 #include "support/AtomicFile.h"
+#include "support/CliParse.h"
 #include "support/Frame.h"
 #include "support/Hashing.h"
 
@@ -85,16 +86,19 @@ public:
 
   uint64_t num() {
     std::string_view V = tok();
-    uint64_t N = 0;
-    if (V.empty())
-      fail("empty number");
-    for (char C : V) {
-      if (C < '0' || C > '9')
-        fail("malformed number '" + std::string(V) + "'");
-      if (N > UINT64_MAX / 10)
-        fail("number out of range '" + std::string(V) + "'");
-      N = N * 10 + static_cast<uint64_t>(C - '0');
-    }
+    uint64_t N;
+    if (!cli::parseU64(V, N))
+      fail("malformed number '" + std::string(V) + "'");
+    return N;
+  }
+
+  /// An element count. Every element takes at least one more token, so a
+  /// count past the remaining text is corrupt; it must not size a
+  /// reservation.
+  uint64_t count() {
+    uint64_t N = num();
+    if (N > T.size() - Pos)
+      fail("count " + std::to_string(N) + " exceeds the remaining text");
     return N;
   }
 
@@ -240,7 +244,7 @@ AccessPath readPath(TokenReader &R, Program &Prog) {
 }
 
 ApSet readApSet(TokenReader &R, Program &Prog) {
-  uint64_t N = R.num();
+  uint64_t N = R.count();
   std::vector<AccessPath> Paths;
   Paths.reserve(N);
   for (uint64_t I = 0; I != N; ++I)
@@ -251,21 +255,21 @@ ApSet readApSet(TokenReader &R, Program &Prog) {
 KillSpec readKill(TokenReader &R, Program &Prog) {
   SymbolTable &Syms = Prog.symbols();
   R.expect("kb");
-  uint64_t NB = R.num();
+  uint64_t NB = R.count();
   std::vector<Symbol> Bases;
   for (uint64_t I = 0; I != NB; ++I)
     Bases.push_back(Syms.intern(R.tok()));
   R.expect("kd");
-  uint64_t ND = R.num();
+  uint64_t ND = R.count();
   std::vector<Symbol> Defaults;
   for (uint64_t I = 0; I != ND; ++I)
     Defaults.push_back(Syms.intern(R.tok()));
   R.expect("kbb");
-  uint64_t NBB = R.num();
+  uint64_t NBB = R.count();
   std::vector<std::pair<Symbol, std::vector<Symbol>>> ByBase;
   for (uint64_t I = 0; I != NBB; ++I) {
     Symbol Base = Syms.intern(R.tok());
-    uint64_t NF = R.num();
+    uint64_t NF = R.count();
     std::vector<Symbol> Fields;
     for (uint64_t J = 0; J != NF; ++J)
       Fields.push_back(Syms.intern(R.tok()));
@@ -288,7 +292,7 @@ KillSpec readKill(TokenReader &R, Program &Prog) {
 TsPred readPred(TokenReader &R, Program &Prog) {
   TsPred P;
   R.expect("ap");
-  uint64_t NA = R.num();
+  uint64_t NA = R.count();
   for (uint64_t I = 0; I != NA; ++I) {
     AccessPath Path = readPath(R, Prog);
     uint64_t InMust = R.num(), InNot = R.num();
@@ -303,7 +307,7 @@ TsPred readPred(TokenReader &R, Program &Prog) {
       fail("unsatisfiable replayed must-not constraint");
   }
   R.expect("may");
-  uint64_t NM = R.num();
+  uint64_t NM = R.count();
   for (uint64_t I = 0; I != NM; ++I) {
     std::string_view ProcName = R.tok();
     ProcId Proc = Prog.procId(Prog.symbols().intern(ProcName));
@@ -339,7 +343,7 @@ TsRelation readRel(TokenReader &R, Program &Prog) {
   if (Kind != "T")
     fail("unknown relation kind '" + std::string(Kind) + "'");
   R.expect("iota");
-  uint64_t NI = R.num();
+  uint64_t NI = R.count();
   std::vector<TState> Iota;
   Iota.reserve(NI);
   for (uint64_t I = 0; I != NI; ++I)
@@ -370,7 +374,7 @@ TsRelation readRel(TokenReader &R, Program &Prog) {
 std::vector<TsRelation> readRels(TokenReader &R, Program &Prog,
                                  const char *Key) {
   R.expect(Key);
-  uint64_t N = R.num();
+  uint64_t N = R.count();
   std::vector<TsRelation> Rels;
   Rels.reserve(N);
   for (uint64_t I = 0; I != N; ++I)
@@ -387,7 +391,7 @@ TsIgnoreSet readIgnore(TokenReader &R, Program &Prog, const char *Key) {
   TsIgnoreSet S;
   if (R.flag())
     S.addLambda();
-  uint64_t N = R.num();
+  uint64_t N = R.count();
   for (uint64_t I = 0; I != N; ++I)
     (void)S.addPred(readPred(R, Prog)); // In-order replay; see header.
   return S;

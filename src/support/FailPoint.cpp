@@ -6,6 +6,7 @@
 
 #include "support/FailPoint.h"
 
+#include "support/CliParse.h"
 #include "support/Rng.h"
 
 #include <algorithm>
@@ -58,14 +59,11 @@ std::string_view parenArgs(std::string_view T, std::string_view Spec) {
 uint64_t parseCount(std::string_view T, std::string_view Spec) {
   if (T.empty())
     badSpec(Spec, "empty count");
-  uint64_t V = 0;
-  for (char C : T) {
-    if (C < '0' || C > '9')
-      badSpec(Spec, "expected a number, got '" + std::string(T) + "'");
-    if (V > UINT64_MAX / 10)
-      badSpec(Spec, "count out of range");
-    V = V * 10 + static_cast<uint64_t>(C - '0');
-  }
+  uint64_t V;
+  if (!cli::parseU64(T, V))
+    badSpec(Spec, T.find_first_not_of("0123456789") == std::string_view::npos
+                      ? "count out of range"
+                      : "expected a number, got '" + std::string(T) + "'");
   if (V == 0)
     badSpec(Spec, "count must be positive");
   return V;

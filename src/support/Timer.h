@@ -55,6 +55,13 @@ private:
 /// Formats \p Seconds like the paper's tables ("4m44s", "20.4s", "0.91s").
 std::string formatSeconds(double Seconds);
 
+/// Resource limits for one analysis run, in every domain: the caps a run
+/// builds its Budget from. The default is effectively unlimited.
+struct RunLimits {
+  uint64_t MaxSteps = UINT64_MAX;
+  double MaxSeconds = 1e18;
+};
+
 /// A combined step and wall-clock budget. Solvers call step() on every unit
 /// of work; once the budget is exhausted every subsequent call returns
 /// false and the solver aborts, reporting a timeout.

@@ -5,7 +5,10 @@
 #    the failure is actionable without opening the manual;
 #  * every registered client domain actually runs in every mode through
 #    the real binary (exit 0 on a tiny corpus program);
-#  * --mode=bu without a client domain is rejected with the domain list.
+#  * --mode=bu without a client domain is rejected with the domain list;
+#  * swift-difftest --replay runs the one oracle for every domain: each
+#    corpus reproducer exits 0 on the fixed analyses and 1 with its
+#    recorded fault re-injected (--inject-bug).
 #
 # Usage: domain_errors.sh <swift-analyze> <swift-difftest> <corpus-dir>
 set -u
@@ -70,6 +73,27 @@ for domain in taint nullderef reachdefs interval; do
     "$analyze" --domain=$domain --mode=$mode "$prog" >"$work/out" 2>&1
     check "$domain/$mode runs" 0 $?
     expect_grep "$domain/$mode reports completion" "$domain/$mode: complete" "$work/out"
+  done
+done
+
+# --- swift-difftest --replay, every domain, clean and injected ----------
+replay_flags="--schedules=4 --steps=3000000 --run-seconds=3600"
+replay() { # replay <file> <domain>
+  local name rc
+  name=$(basename "$1")
+  "$difftest" --replay="$1" --domain="$2" $replay_flags >"$work/out" 2>&1
+  rc=$?
+  check "replay $name under $2" 0 $rc
+  expect_grep "replay $name under $2 is clean" " 0 violation(s)" "$work/out"
+  "$difftest" --replay="$1" --domain="$2" $replay_flags --inject-bug \
+    >"$work/out" 2>&1
+  rc=$?
+  check "replay $name under $2 --inject-bug" 1 $rc
+}
+replay "$corpus/seed15.swiftir" typestate
+for domain in taint nullderef reachdefs interval; do
+  for f in "$corpus"/clients/$domain-*.swiftir; do
+    replay "$f" $domain
   done
 done
 

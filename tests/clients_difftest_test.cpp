@@ -19,7 +19,7 @@
 
 #include "clients/Registry.h"
 #include "clients/TestHooks.h"
-#include "difftest/DomainOracle.h"
+#include "difftest/Difftest.h"
 
 #include <gtest/gtest.h>
 
@@ -35,8 +35,8 @@ using namespace swift::difftest;
 
 namespace {
 
-DomainOracleOptions oracleOptions() {
-  DomainOracleOptions OO;
+OracleOptions oracleOptions() {
+  OracleOptions OO;
   OO.Limits.MaxSteps = 3'000'000;
   OO.Limits.MaxSeconds = 60.0;
   OO.Schedules = 4;
@@ -44,7 +44,7 @@ DomainOracleOptions oracleOptions() {
 }
 
 void runCampaignFor(const std::string &Domain) {
-  DomainCampaignOptions Opts;
+  CampaignOptions Opts;
   Opts.Domain = Domain;
   Opts.FirstSeed = 1;
   Opts.NumSeeds = 40;
@@ -52,7 +52,7 @@ void runCampaignFor(const std::string &Domain) {
   Opts.OutDir = ""; // No reproducer files from the test run.
   Opts.ReduceViolations = false;
   std::ostringstream Log;
-  CampaignResult R = runDomainCampaign(Opts, Log);
+  CampaignResult R = runCampaign(Opts, Log);
   EXPECT_EQ(R.SeedsRun, 40u);
   EXPECT_EQ(R.ExhaustedSeeds, 0u) << Log.str();
   for (const SeedReport &S : R.BadSeeds)
@@ -116,8 +116,7 @@ TEST(ClientCorpus, CleanOnTheFixedAnalyses) {
   for (const CorpusEntry &E : clientCorpus()) {
     SCOPED_TRACE(E.Path);
     ASSERT_FALSE(E.Domain.empty()) << "missing '# domain:' header";
-    DomainOracleResult R = replayDomainFile(E.Path, E.Domain,
-                                            oracleOptions());
+    OracleResult R = replayFile(E.Path, E.Domain, oracleOptions());
     EXPECT_GT(R.RunsDone, 0u);
     for (const Violation &V : R.Violations)
       ADD_FAILURE() << "[" << checkKindName(V.Kind) << "] " << V.Config
@@ -131,8 +130,7 @@ TEST(ClientCorpus, StillTripTheOracleUnderTheInjectedFault) {
     ASSERT_FALSE(E.Domain.empty()) << "missing '# domain:' header";
     ASSERT_FALSE(E.Kind.empty()) << "missing '# violation:' header";
     ASSERT_TRUE(clients::test::injectDomainBug(E.Domain, true));
-    DomainOracleResult R = replayDomainFile(E.Path, E.Domain,
-                                            oracleOptions());
+    OracleResult R = replayFile(E.Path, E.Domain, oracleOptions());
     clients::test::injectDomainBug(E.Domain, false);
     bool Found = false;
     for (const Violation &V : R.Violations)

@@ -52,7 +52,8 @@ TEST(DifftestOracleTest, CleanOnFuzzSeeds) {
   for (uint64_t Seed = 1; Seed <= 10; ++Seed) {
     std::unique_ptr<Program> Prog =
         generateFuzzProgram(fuzzConfigForSeed(Seed));
-    OracleResult R = runOracle(*Prog, deterministicOptions(Seed * 1013 + 1));
+    OracleResult R =
+        runOracle("typestate", *Prog, deterministicOptions(Seed * 1013 + 1));
     EXPECT_GT(R.RunsDone, 0u);
     for (const Violation &V : R.Violations)
       ADD_FAILURE() << "seed " << Seed << ": [" << checkKindName(V.Kind)
@@ -67,7 +68,8 @@ TEST(DifftestOracleTest, RequiresATypestateSpec) {
       "  1: nop ->\n"
       "}\n"
       "main main\n");
-  EXPECT_THROW((void)runOracle(*Prog, OracleOptions{}), std::runtime_error);
+  EXPECT_THROW((void)runOracle("typestate", *Prog, OracleOptions{}),
+               std::runtime_error);
 }
 
 TEST(DifftestOracleTest, InjectedBugIsDetected) {
@@ -78,7 +80,7 @@ TEST(DifftestOracleTest, InjectedBugIsDetected) {
   std::unique_ptr<Program> Prog = generateFuzzProgram(fuzzConfigForSeed(15));
   OracleOptions OO = deterministicOptions(15 * 1013 + 1);
   OO.Limits.MaxSteps = 3'000'000;
-  OracleResult R = runOracle(*Prog, OO);
+  OracleResult R = runOracle("typestate", *Prog, OO);
   ASSERT_FALSE(R.clean());
   EXPECT_EQ(R.Violations.front().Kind, CheckKind::BuAgreement);
 }
@@ -101,7 +103,7 @@ TEST(DifftestReducerTest, ShrinksInjectedBugToTinyReproducer) {
   // The reduced text is a well-formed program that still exhibits a
   // violation of the same kind...
   std::unique_ptr<Program> Re = parseProgramText(RR.Text);
-  OracleResult Replayed = runOracle(*Re, RO.Oracle);
+  OracleResult Replayed = runOracle("typestate", *Re, RO.Oracle);
   bool SameKind = false;
   for (const Violation &V : Replayed.Violations)
     SameKind |= V.Kind == CheckKind::BuAgreement;
@@ -110,7 +112,7 @@ TEST(DifftestReducerTest, ShrinksInjectedBugToTinyReproducer) {
   // ...and is clean once the fault is gone, i.e. the reducer minimized the
   // bug, not some unrelated oracle artifact.
   test::InjectTsCallWeakUpdateBug.store(false);
-  EXPECT_TRUE(runOracle(*Re, RO.Oracle).clean());
+  EXPECT_TRUE(runOracle("typestate", *Re, RO.Oracle).clean());
 }
 
 TEST(DifftestReducerTest, NonReproducingInputIsReturnedUnreduced) {
@@ -139,12 +141,12 @@ TEST(DifftestCampaignTest, WriteAndReplayReproducer) {
 
   // The header comments are skipped by the parser; the replay runs the
   // oracle on exactly the embedded program.
-  OracleResult R = replayFile(Path, deterministicOptions(1));
+  OracleResult R = replayFile(Path, "typestate", deterministicOptions(1));
   EXPECT_TRUE(R.clean());
   EXPECT_GT(R.RunsDone, 0u);
 
   EXPECT_THROW((void)replayFile((Dir / "missing.swiftir").string(),
-                                deterministicOptions(1)),
+                                "typestate", deterministicOptions(1)),
                std::runtime_error);
   std::filesystem::remove_all(Dir);
 }

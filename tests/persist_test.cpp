@@ -45,6 +45,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -474,6 +475,27 @@ TEST(PersistHardeningTest, BrokenStateAndRelationInvariantsAreTypedErrors) {
   }
 }
 
+TEST(PersistHardeningTest, TwentyDigitSummaryNumbersAreStoreErrors) {
+  // One past UINT64_MAX and two past it: a digit loop that checks the
+  // overflow before the last add wraps them to 0 and to the flag value 1.
+  serve::ParsedStore PS =
+      serve::decodeStore(corpusBytes("persist/golden.swiftstore"));
+  std::string Text = serve::summaryToText(*PS.Prog, PS.Procs[0].Sum);
+  size_t At = Text.rfind("lambdaexit ");
+  ASSERT_NE(At, std::string::npos);
+  for (const char *Big : {"18446744073709551616", "18446744073709551617"}) {
+    std::string Mut = Text.substr(0, At) + "lambdaexit " + Big;
+    EXPECT_THROW((void)serve::parseSummaryText(*PS.Prog, Mut),
+                 serve::StoreError)
+        << Big;
+  }
+  // A count that fits in 64 bits but not in the text must not size a
+  // reservation (which throws std::length_error instead).
+  std::string Mut = "rels 10000000000000000000" + Text.substr(Text.find('\n'));
+  EXPECT_THROW((void)serve::parseSummaryText(*PS.Prog, Mut),
+               serve::StoreError);
+}
+
 //===----------------------------------------------------------------------===//
 // Mutation fuzz past the CRC, every format
 //===----------------------------------------------------------------------===//
@@ -573,6 +595,67 @@ TEST(PersistFuzzTest, SpoolPayloadMutantsAreSpoolErrorsOrDecode) {
   }
   expectEveryMutatorRan(Ran);
   EXPECT_GT(Rejected, FuzzSeeds / 4);
+}
+
+/// One token-level mutation of summary text: swap two tokens, drop one,
+/// stretch a number to 20-24 digits, or truncate the text.
+std::string mutateSummaryText(const std::string &Text, Rng &R,
+                              unsigned (&Ran)[4]) {
+  std::vector<std::string> Toks;
+  std::istringstream IS(Text);
+  for (std::string T; IS >> T;)
+    Toks.push_back(std::move(T));
+  unsigned Op = static_cast<unsigned>(R.below(4));
+  ++Ran[Op];
+  switch (Op) {
+  case 0:
+    std::swap(Toks[R.below(Toks.size())], Toks[R.below(Toks.size())]);
+    break;
+  case 1:
+    Toks.erase(Toks.begin() + static_cast<long>(R.below(Toks.size())));
+    break;
+  case 2: {
+    std::vector<size_t> Nums;
+    for (size_t I = 0; I != Toks.size(); ++I)
+      if (Toks[I].find_first_not_of("0123456789") == std::string::npos)
+        Nums.push_back(I);
+    std::string Long(1, static_cast<char>('1' + R.below(9)));
+    for (uint64_t N = 19 + R.below(5); N != 0; --N)
+      Long += static_cast<char>('0' + R.below(10));
+    Toks[Nums[R.below(Nums.size())]] = Long;
+    break;
+  }
+  default:
+    return Text.substr(0, R.below(Text.size()));
+  }
+  std::string Out;
+  for (const std::string &T : Toks)
+    Out += T + " ";
+  return Out;
+}
+
+TEST(PersistFuzzTest, SummaryTextMutantsAreStoreErrorsOrParse) {
+  serve::ParsedStore PS =
+      serve::decodeStore(corpusBytes("persist/golden.swiftstore"));
+  std::vector<std::string> Texts;
+  for (const serve::StoredProc &P : PS.Procs)
+    if (P.HasSummary)
+      Texts.push_back(serve::summaryToText(*PS.Prog, P.Sum));
+  ASSERT_FALSE(Texts.empty());
+  unsigned Ran[4] = {}, Rejected = 0;
+  for (uint64_t Seed = 1; Seed <= FuzzSeeds; ++Seed) {
+    Rng R(Seed * 0x9e3779b9u);
+    std::string Mut =
+        mutateSummaryText(Texts[Seed % Texts.size()], R, Ran);
+    try {
+      serve::TsSummary S = serve::parseSummaryText(*PS.Prog, Mut);
+      (void)serve::summaryToText(*PS.Prog, S);
+    } catch (const serve::StoreError &) {
+      ++Rejected;
+    }
+  }
+  expectEveryMutatorRan(Ran);
+  EXPECT_GT(Rejected, FuzzSeeds / 2);
 }
 
 TEST_F(PersistTest, JournalRecordMutantsReplayAPrefix) {

@@ -384,6 +384,17 @@ TEST(FailPointTest, SpecParsingMergesAndRejects) {
   EXPECT_EQ(failpoint::armedNames().size(), 2u);
 }
 
+TEST(FailPointTest, CountsPastUint64AreRejected) {
+  failpoint::disarmAll();
+  // 2^64 + 1: a digit loop that checks the overflow before the last add
+  // wraps it to nth(1).
+  for (const char *Spec : {"x.y=nth(18446744073709551617)",
+                           "x.y=every(18446744073709551616)"})
+    EXPECT_THROW(failpoint::armSpec(Spec), std::runtime_error) << Spec;
+  EXPECT_TRUE(failpoint::armedNames().empty());
+  EXPECT_FALSE(SWIFT_FAILPOINT("x.y"));
+}
+
 TEST(FailPointTest, DuplicateNameWithinOneSpecIsRejected) {
   failpoint::disarmAll();
   // Last-wins used to silently drop the first trigger; now the whole

@@ -20,9 +20,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "clients/Registry.h"
 #include "clients/TestHooks.h"
 #include "difftest/Difftest.h"
-#include "difftest/DomainOracle.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "support/CliParse.h"
@@ -172,25 +172,21 @@ OracleOptions oracleOptions(const ToolOptions &O) {
   return OO;
 }
 
-DomainOracleOptions domainOracleOptions(const ToolOptions &O) {
-  DomainOracleOptions OO;
-  OO.Limits.MaxSteps = O.Steps;
-  OO.Limits.MaxSeconds = O.RunSeconds;
-  OO.Schedules = O.Schedules;
-  return OO;
-}
+/// Typestate reports keep their domain-less wording; a client domain's
+/// reports name it.
+bool isTypestate(const ToolOptions &O) { return O.Domain == "typestate"; }
 
-int domainReplay(const ToolOptions &O) {
-  DomainOracleResult R;
+int replay(const ToolOptions &O) {
+  OracleResult R;
   try {
-    R = replayDomainFile(O.ReplayPath, O.Domain, domainOracleOptions(O));
+    R = replayFile(O.ReplayPath, O.Domain, oracleOptions(O));
   } catch (const std::exception &E) {
     std::fprintf(stderr, "swift-difftest: %s\n", E.what());
     return 2;
   }
-  std::printf("replayed %s under %s: %u run(s), %u timed out, %zu "
-              "violation(s)\n",
-              O.ReplayPath.c_str(), O.Domain.c_str(), R.RunsDone,
+  std::string Under = isTypestate(O) ? "" : " under " + O.Domain;
+  std::printf("replayed %s%s: %u run(s), %u timed out, %zu violation(s)\n",
+              O.ReplayPath.c_str(), Under.c_str(), R.RunsDone,
               R.RunsTimedOut, R.Violations.size());
   for (const Violation &V : R.Violations)
     std::printf("  [%s] %s: %s\n", checkKindName(V.Kind), V.Config.c_str(),
@@ -198,55 +194,9 @@ int domainReplay(const ToolOptions &O) {
   if (!R.clean())
     return 1;
   if (R.ReferenceTimedOut) {
-    std::printf("note: the td reference run exhausted its budget; "
-                "every check was skipped\n");
-    return 3;
-  }
-  return 0;
-}
-
-int domainCampaign(const ToolOptions &O) {
-  DomainCampaignOptions CO;
-  CO.Domain = O.Domain;
-  CO.FirstSeed = O.FirstSeed;
-  CO.NumSeeds = O.Seeds;
-  CO.Oracle = domainOracleOptions(O);
-  CO.ReduceViolations = !O.NoReduce;
-  CO.OutDir = O.OutDir;
-  CO.BudgetSeconds = O.BudgetSeconds;
-
-  CampaignResult R = runDomainCampaign(CO, std::cout);
-  std::printf("[%s] %llu seed(s) tested, %zu with violations, %llu "
-              "resource-exhausted%s\n",
-              O.Domain.c_str(),
-              static_cast<unsigned long long>(R.SeedsRun),
-              R.BadSeeds.size(),
-              static_cast<unsigned long long>(R.ExhaustedSeeds),
-              R.StoppedOnBudget ? " (stopped on --budget)" : "");
-  if (!R.clean())
-    return 1;
-  return R.ExhaustedSeeds != 0 ? 3 : 0;
-}
-
-int replay(const ToolOptions &O) {
-  OracleResult R;
-  try {
-    R = replayFile(O.ReplayPath, oracleOptions(O));
-  } catch (const std::exception &E) {
-    std::fprintf(stderr, "swift-difftest: %s\n", E.what());
-    return 2;
-  }
-  std::printf("replayed %s: %u run(s), %u timed out, %zu violation(s)\n",
-              O.ReplayPath.c_str(), R.RunsDone, R.RunsTimedOut,
-              R.Violations.size());
-  for (const Violation &V : R.Violations)
-    std::printf("  [%s] %s: %s\n", checkKindName(V.Kind), V.Config.c_str(),
-                V.Detail.c_str());
-  if (!R.clean())
-    return 1;
-  if (R.ReferenceTimedOut) {
-    std::printf("note: the td reference run exhausted its budget; "
-                "reference-dependent checks were skipped\n");
+    std::printf("note: the td reference run exhausted its budget; %s\n",
+                isTypestate(O) ? "reference-dependent checks were skipped"
+                               : "every check was skipped");
     return 3;
   }
   return 0;
@@ -254,18 +204,19 @@ int replay(const ToolOptions &O) {
 
 int campaign(const ToolOptions &O) {
   CampaignOptions CO;
+  CO.Domain = O.Domain;
   CO.FirstSeed = O.FirstSeed;
   CO.NumSeeds = O.Seeds;
   CO.Oracle = oracleOptions(O);
-  CO.Reduce.Oracle = CO.Oracle;
   CO.ReduceViolations = !O.NoReduce;
   CO.OutDir = O.OutDir;
   CO.BudgetSeconds = O.BudgetSeconds;
 
   CampaignResult R = runCampaign(CO, std::cout);
-  std::printf("%llu seed(s) tested, %zu with violations, %llu "
+  std::string Prefix = isTypestate(O) ? "" : "[" + O.Domain + "] ";
+  std::printf("%s%llu seed(s) tested, %zu with violations, %llu "
               "resource-exhausted%s\n",
-              static_cast<unsigned long long>(R.SeedsRun),
+              Prefix.c_str(), static_cast<unsigned long long>(R.SeedsRun),
               R.BadSeeds.size(),
               static_cast<unsigned long long>(R.ExhaustedSeeds),
               R.StoppedOnBudget ? " (stopped on --budget)" : "");
@@ -289,7 +240,7 @@ int main(int Argc, char **Argv) {
     return 0;
   }
   if (O.InjectBug) {
-    if (O.Domain == "typestate")
+    if (isTypestate(O))
       test::InjectTsCallWeakUpdateBug.store(true);
     else
       clients::test::injectDomainBug(O.Domain, true);
@@ -306,11 +257,7 @@ int main(int Argc, char **Argv) {
   if (!O.MetricsOut.empty())
     obs::MetricsRegistry::instance().enable();
 
-  int Rc;
-  if (O.Domain == "typestate")
-    Rc = O.ReplayPath.empty() ? campaign(O) : replay(O);
-  else
-    Rc = O.ReplayPath.empty() ? domainCampaign(O) : domainReplay(O);
+  int Rc = O.ReplayPath.empty() ? campaign(O) : replay(O);
 
   // Advisory flushes: an observability write failure warns but never
   // changes the campaign verdict.
